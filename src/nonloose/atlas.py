@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from .decorations import (
     DecoratedPathPair,
@@ -92,7 +93,7 @@ class Atlas:
     p: int
     q: int
     max_torsion2: int
-    counts: dict
+    counts: MappingProxyType  # read-only: classify hands out cached atlases
     structures: tuple[Structure, ...]
     transverse: tuple[TransverseEntry, ...]
 
@@ -113,6 +114,21 @@ def _leg(fid, kind, sign, crossing, torsion2, tb_max=UNBOUNDED, tb_min=UNBOUNDED
         fid, kind, tb_max, tb_min, rot_top, slope, intercept, torsion2,
         stab_plus, stab_minus, tuple(merge),
     )
+
+
+def _x_legs(fams, crossing, torsion2, base, threshold):
+    """Append the two X legs at doubled torsion torsion2.  The base legs keep
+    the x_leg kinds and tower copies are torsion_member; with a pq > 0
+    threshold each leg gains half a unit of torsion at and below it."""
+    suffix = "" if base else f"~{torsion2}"
+    for sign, tag in ((+1, "+"), (-1, "-")):
+        kind = ("x_leg_plus" if sign > 0 else "x_leg_minus") if base else "torsion_member"
+        fid = f"x{tag}{suffix}"
+        if threshold is None:
+            fams.append(_leg(fid, kind, sign, crossing, torsion2))
+        else:
+            fams.append(_leg(fid, kind, sign, crossing, torsion2, tb_min=threshold + 1))
+            fams.append(_leg(f"{fid}lo", kind, sign, crossing, torsion2 + 1, tb_max=threshold))
 
 
 def _point(fid, kind, rot, tb, torsion2, stab_plus, stab_minus, merge=()):
@@ -267,7 +283,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     t2_count = count_totally_2_inconsistent(p, q)
     assert len(orbit_pairs) == n_count
     assert len(final) == n_count + t2_count // 2
-    counts = {"m": count_m(p, q), "n": n_count, "totally2": t2_count}
+    counts = MappingProxyType({"m": count_m(p, q), "n": n_count, "totally2": t2_count})
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
@@ -321,26 +337,7 @@ def _generic_structure(
     fams: list[KnotFamilyRecord] = []
     notes: list[str] = []
 
-    def add_legs(torsion2: int):
-        # base legs keep the x_leg kinds; torsion copies are torsion_member
-        base = torsion2 == 0
-        suffix = "" if base else f"~{torsion2}"
-        for sign, tag in ((+1, "+"), (-1, "-")):
-            kind = ("x_leg_plus" if sign > 0 else "x_leg_minus") if base else "torsion_member"
-            if threshold is None:
-                fams.append(_leg(f"x{tag}{suffix}", kind, sign, crossing, torsion2))
-            else:
-                fams.append(
-                    _leg(f"x{tag}{suffix}", kind, sign, crossing, torsion2,
-                         tb_min=threshold + 1)
-                )
-                fams.append(
-                    _leg(f"x{tag}{suffix}lo",
-                         kind if torsion2 == 0 else "torsion_member",
-                         sign, crossing, torsion2 + 1, tb_max=threshold)
-                )
-
-    add_legs(0)
+    _x_legs(fams, crossing, 0, True, threshold)
 
     wing_data = []
     prev_abs = abs_r[2]
@@ -384,7 +381,7 @@ def _generic_structure(
     if totally2:
         assert not wing_data, "torsion towers only occur on wingless chains"
         for level in range(2, max_torsion2 + 1, 2):
-            add_legs(level)
+            _x_legs(fams, crossing, level, False, threshold)
         notes.append(
             f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"
         )
@@ -442,22 +439,7 @@ def _half_lutz_structure(
         "along its non-loose transverse representative"
     ]
     for level in range(1, max_torsion2 + 1, 2) or [1]:
-        base = level == 1
-        suffix = "" if base else f"~{level}"
-        for sign, tag in ((+1, "+"), (-1, "-")):
-            kind = ("x_leg_plus" if sign > 0 else "x_leg_minus") if base else "torsion_member"
-            if threshold is None:
-                fams.append(_leg(f"x{tag}{suffix}", kind, sign, crossing, level))
-            else:
-                fams.append(
-                    _leg(f"x{tag}{suffix}", kind, sign, crossing, level,
-                         tb_min=threshold + 1)
-                )
-                fams.append(
-                    _leg(f"x{tag}{suffix}lo",
-                         kind if base else "torsion_member",
-                         sign, crossing, level + 1, tb_max=threshold)
-                )
+        _x_legs(fams, crossing, level, level == 1, threshold)
     notes.append(
         f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"
     )

@@ -92,7 +92,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         sys.stdout.write(_dump(atlas_to_dict(atlas)))
         return 0
-    print(f"({args.p},{args.q})-torus knot: counts {atlas.counts}")
+    print(f"({args.p},{args.q})-torus knot: counts {dict(atlas.counts)}")
     for st in atlas.structures:
         flags = []
         if st.exceptional:

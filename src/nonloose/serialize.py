@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .atlas import (
     Atlas,
     KnotFamilyRecord,
@@ -9,7 +11,6 @@ from .atlas import (
     TransverseClass,
     TransverseEntry,
 )
-from .decorations import DecoratedPathPair, decoration_string
 from .paths import PathPair, decompose_blocks, p2_truncated
 from .surgery import SurgeryDiagram
 
@@ -110,7 +111,7 @@ def atlas_from_dict(data: dict) -> Atlas:
     )
     return Atlas(
         data["knot"]["p"], data["knot"]["q"], data["max_torsion2"],
-        dict(data["counts"]), structures, transverse,
+        MappingProxyType(dict(data["counts"])), structures, transverse,
     )
 
 
@@ -131,13 +132,6 @@ def paths_to_dict(pair: PathPair) -> dict:
             for b in dec.blocks
         ],
     }
-
-
-def decoration_to_dict(d: DecoratedPathPair, extra: dict | None = None) -> dict:
-    out = {"decoration": decoration_string(d)}
-    if extra:
-        out.update(extra)
-    return out
 
 
 def diagram_to_dict(diagram: SurgeryDiagram) -> dict:

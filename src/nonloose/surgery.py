@@ -66,15 +66,25 @@ def knot_surgery_context(p: int, q: int) -> "_Context":
 
 
 class _Context:
+    """Linking matrix M of the DGS link, its integer inverse, det, sigma, chi.
+
+    By Sylvester's law of inertia sigma = 3 - n + (-1)^n det M for every
+    class.  In each chain m_ii = tb_i - 1 and m_ij = tb_min(i,j), with
+    tb_1 <= -1 decreasing, and all cross linkings are -1.  So for N, the
+    (n-2)x(n-2) block of both chains, -N is I plus psd min-kernels plus an
+    all-ones coupling: -N >= I and N is negative definite.  The Schur
+    complement of N in M is [[b, b-1], [b-1, b]] with b = -1^T N^-1 1 > 0
+    and eigenvalues 1 and 2b-1; det M = det N (2b-1), sign det N = (-1)^n.
+    All leading principal minors are non-zero (minors of N up to order n-2,
+    then b det N, then det M), so elimination in display order never swaps.
+    """
+
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
-        pair = build_pair(p, q)
-        self.pair = pair
-        self.blocks = decompose_blocks(pair).blocks
+        self.blocks = decompose_blocks(build_pair(p, q)).blocks
         neighbor = clockwise_neighbor(make_slope(q, p))
-        q1, p1 = neighbor.num, neighbor.den
-        self.chain_p = _Chain(Fraction(-p, p1))
-        self.chain_q = _Chain(Fraction(-q, q - q1))
+        self.chain_p = _Chain(Fraction(-p, neighbor.den))
+        self.chain_q = _Chain(Fraction(-q, q - neighbor.num))
 
         for chain, side in ((self.chain_p, "P1"), (self.chain_q, "P2")):
             budgets = [s for s in chain.stabs if s > 0]
@@ -97,14 +107,11 @@ class _Context:
         m[n - 2][n - 2] = m[n - 1][n - 1] = 0
         self.matrix = tuple(tuple(row) for row in m)
         self.size = n
-        self.sigma, self.inverse, self.det = _diagonalize(self.matrix)
-        if abs(self.det) != 1:
-            raise AssertionError(f"linking matrix of ({p},{q}) has determinant {self.det}")
+        self.inverse, self.det = _diagonalize(self.matrix)
+        self.sigma = 3 - n + (-1) ** n * self.det
         self.chi = n + 1
-        lk = [-1] * n
-        self.inverse_lk = [
-            sum(self.inverse[i][j] * lk[j] for j in range(n)) for i in range(n)
-        ]
+        # M^-1 lk with lk the all -1 vector
+        self.inverse_lk = [-sum(row) for row in self.inverse]
 
     def c_squared(self, rot) -> int:
         total = 0
@@ -128,124 +135,46 @@ class _Context:
         """Component rotation numbers from the block signs: P1 signs map
         directly to stabilization signs, P2 signs flipped (a positive basic
         slice on the upper-meridian torus is a negative stabilization)."""
-        u, v = len(self.chain_p), len(self.chain_q)
-        rot = [0] * (u + v + 2)
+        u = len(self.chain_p)
+        rot = [0] * self.size
         for chain, base, side, flip in (
             (self.chain_p, 0, "P1", +1),
             (self.chain_q, u, "P2", -1),
         ):
-            side_blocks = [b for b in self.blocks if b.side == side]
+            side_blocks = (b for b in self.blocks if b.side == side)
             running = 0
-            bi = 0
             k = len(chain)
             for i, s in enumerate(chain.stabs):
                 if s > 0:
-                    blk = side_blocks[bi]
+                    blk = next(side_blocks)
                     c = d.plus_counts[blk.index - 1]
                     running += flip * (2 * c - blk.edge_count)
-                    bi += 1
                 rot[base + (k - 1 - i)] = running
         return tuple(rot)
 
 
 def _diagonalize(matrix):
-    """Exact computation of (signature, integer inverse, determinant),
-    all in fraction-free integer arithmetic."""
+    """Exact (integer inverse, det) of a unimodular matrix with non-zero
+    leading principal minors: fraction-free Bareiss-Jordan on [A | I], whose
+    k-th pivot is the k-th leading minor, ends with det * A^-1 on the right."""
     n = len(matrix)
-
-    # Bareiss-Jordan elimination on [A | I]: stays integral throughout and
-    # ends with det(A) on the diagonal and det(A) * A^{-1} on the right.
     aug = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
+    det = 1
     for k in range(n):
-        if aug[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if aug[r][k] != 0), None)
-            if swap is None:
-                raise AssertionError("singular linking matrix")
-            aug[k], aug[swap] = aug[swap], aug[k]
-            sign = -sign
         piv = aug[k][k]
+        if piv == 0:
+            raise AssertionError("singular linking matrix")
         for i in range(n):
             if i == k:
                 continue
             row_i, fik = aug[i], aug[i][k]
             row_k = aug[k]
             for j in range(2 * n):
-                row_i[j] = (piv * row_i[j] - fik * row_k[j]) // prev
-        prev = piv
-    det = sign * prev
+                row_i[j] = (piv * row_i[j] - fik * row_k[j]) // det
+        det = piv
     if abs(det) != 1:
         raise AssertionError(f"linking matrix must be unimodular, det = {det}")
-    int_inv = []
-    for i in range(n):
-        diag = aug[i][i]
-        int_inv.append(tuple(x // diag for x in aug[i][n:]))
-
-    return _signature(matrix), tuple(int_inv), det
-
-
-def _signature(matrix) -> int:
-    """Signature of a symmetric integer matrix, exactly.
-
-    One fraction-free Bareiss pass yields the leading principal minors; when
-    none vanish, the signature counts consecutive sign agreements in the
-    minor sequence.  A vanishing minor falls back to rational congruence
-    diagonalization.
-    """
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    minors = []
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
-            return _signature_congruence(matrix)
-        for i in range(k + 1, n):
-            row_i, fik = a[i], a[i][k]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (piv * row_i[j] - fik * row_k[j]) // prev
-        minors.append(piv)
-        prev = piv
-    sig = 0
-    last = 1
-    for d in minors:
-        sig += 1 if (d > 0) == (last > 0) else -1
-        last = d
-    return sig
-
-
-def _signature_congruence(matrix) -> int:
-    n = len(matrix)
-    b = [[Fraction(x) for x in row] for row in matrix]
-    sig = 0
-    for k in range(n):
-        if b[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if b[r][r] != 0), None)
-            if swap is not None:
-                b[k], b[swap] = b[swap], b[k]
-                for row in b:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((r for r in range(k + 1, n) if b[r][k] != 0), None)
-                if off is None:
-                    raise AssertionError("singular linking matrix")
-                for c in range(n):
-                    b[k][c] += b[off][c]
-                for row in b:
-                    row[k] += row[off]
-        piv = b[k][k]
-        sig += 1 if piv > 0 else -1
-        for r in range(k + 1, n):
-            f = b[r][k]
-            if f:
-                factor = f / piv
-                for c in range(n):
-                    b[r][c] -= factor * b[k][c]
-                for row in b:
-                    row[r] -= factor * row[k]
-    return sig
+    return tuple(tuple(x // det for x in row[n:]) for row in aug), det
 
 
 def compile_diagram(d: DecoratedPathPair) -> SurgeryDiagram:

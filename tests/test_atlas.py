@@ -12,6 +12,7 @@ from nonloose.atlas import (
     wing_extent,
 )
 from nonloose.decorations import parse_decoration
+from nonloose.serialize import atlas_from_dict, atlas_to_dict
 
 
 def structure_map(atlas):
@@ -278,6 +279,17 @@ def test_parity_and_counts_sweep():
                 assert len(atlas.structures) == expected
                 excs = [s for s in atlas.structures if s.exceptional]
                 assert len(excs) == (1 if q < 0 else 1)
+
+
+def test_cached_counts_read_only():
+    # classify hands out its cached atlas: a caller's write must not reach
+    # later calls
+    atlas = classify(5, 8)
+    with pytest.raises(TypeError):
+        atlas.counts["n"] = -1
+    assert classify(5, 8).counts["n"] == 8
+    with pytest.raises(TypeError):
+        atlas_from_dict(atlas_to_dict(atlas)).counts["n"] = -1
 
 
 def test_max_torsion2_edge_values():

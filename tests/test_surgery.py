@@ -162,7 +162,28 @@ def test_component_rotation_budgets():
                     assert abs(rot) <= total and (rot - total) % 2 == 0
 
 
+def leading_minors(matrix):
+    """Leading principal minors by Gaussian elimination over Fraction without
+    row swaps; stops at the first zero minor."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    minors, minor = [], Fraction(1)
+    for k in range(n):
+        minor *= a[k][k]
+        minors.append(minor)
+        if minor == 0:
+            break
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return minors
+
+
 def test_determinants_unimodular():
+    # the exact leading minors are an oracle for sigma independent of the
+    # determinant formula: by Jacobi's rule the negative eigenvalues are
+    # the sign changes along 1, D_1, ..., D_n
     for p in range(2, 8):
         for aq in range(p + 1, 30):
             if gcd(p, aq) != 1:
@@ -170,6 +191,17 @@ def test_determinants_unimodular():
             for q in (aq, -aq):
                 ctx = knot_surgery_context(p, q)
                 assert abs(ctx.det) == 1
+                n = ctx.size
+                minors = leading_minors(ctx.matrix)
+                assert len(minors) == n and all(minors), (p, q)
+                seq = [1] + minors
+                changes = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
+                assert ctx.sigma == n - 2 * changes, (p, q)
+                product = [
+                    [sum(ctx.matrix[i][k] * ctx.inverse[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert product == [[int(i == j) for j in range(n)] for i in range(n)], (p, q)
 
 
 def test_signature_euler_api():
