@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Verbs: classify, paths, decorations, surgery, invariants, mountain, verify.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error or stdout closed early, 2 verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks
@@ -280,9 +282,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

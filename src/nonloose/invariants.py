@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .decorations import DecoratedPathPair, classify_consistency
 from .farey import raw_diff
-from .surgery import compile_diagram, d3, rot_surgered
+from .surgery import knot_surgery_context
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def rotation_data(d: DecoratedPathPair) -> RotationData:
 
 def cross_check_rot(d: DecoratedPathPair) -> bool:
     """R from the Farey formula must equal the surgery-formula rotation."""
-    return rotation_data(d).R == rot_surgered(compile_diagram(d), 0)
+    ctx = knot_surgery_context(d.p, d.q)
+    return rotation_data(d).R == ctx.rot_l_from_rot(ctx.rotation_vector(d))
 
 
 def half_lutz_d3(d: DecoratedPathPair) -> int:
@@ -55,7 +56,8 @@ def half_lutz_d3(d: DecoratedPathPair) -> int:
     2-inconsistent classes carry the half-integer torsion families."""
     if not classify_consistency(d).totally_2_inconsistent:
         raise ValueError("half Lutz twist families need a totally 2-inconsistent class")
-    base = d3(compile_diagram(d))
+    ctx = knot_surgery_context(d.p, d.q)
+    base = ctx.d3_from_rot(ctx.rotation_vector(d))
     big_r = abs(rotation_data(d).R)
     pq = d.p * d.q
     if pq > 0:

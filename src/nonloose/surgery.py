@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .decorations import DecoratedPathPair
 from .farey import clockwise_neighbor, make_slope, negative_cf
@@ -44,17 +45,13 @@ class SurgeryDiagram:
 
 class _Chain:
     """One DGS chain: digits of the rational coefficient, stabilization
-    budgets, contact framings tb_i and the resulting self/mutual linkings."""
+    budgets and contact framings tb_i, innermost (i = 0) first."""
 
     def __init__(self, coefficient: Fraction):
         self.coefficient = coefficient
-        self.digits = negative_cf(coefficient)
-        self.stabs = [abs(self.digits[0] + 1)] + [abs(d + 2) for d in self.digits[1:]]
-        self.tb = []
-        t = -1
-        for s in self.stabs:
-            t -= s
-            self.tb.append(t)
+        self.digits = tuple(negative_cf(coefficient))
+        self.stabs = (abs(self.digits[0] + 1),) + tuple(abs(d + 2) for d in self.digits[1:])
+        self.tb = tuple(accumulate(self.stabs, lambda t, s: t - s, initial=-1))[1:]
 
     def __len__(self):
         return len(self.digits)
@@ -66,17 +63,35 @@ def knot_surgery_context(p: int, q: int) -> "_Context":
 
 
 class _Context:
-    """Linking matrix M of the DGS link, its integer inverse, det, sigma, chi.
+    """The DGS link of (p,q): det, sigma, chi and solves with its linking
+    matrix M, exact in integers and O(n) in the n components.
+
+    Vectors are in display order: each chain outermost first, its innermost
+    component (the root) last, then the two (+1)s.  In each chain
+    m_ii = tb_i - 1 and m_ij = tb_min(i,j), and all cross linkings are -1.
+    Sliding every chain component over its display successor,
+    y_t = x_t - x_{t+1} (y = x at the roots and the (+1)s, det E = 1), turns
+    M into M' = E M E^T: each chain becomes a path with diagonal
+    (..., d_1, d_0 - 1) (d the chain digits, root last) and +1 between
+    neighbours, and the only other entries are -1 between the two roots and
+    the two (+1)s, whose diagonals are 0.  Forward elimination along a path
+    uses its leading minors Q_t (Q_{-1} = 1, Q_{-2} = 0,
+    Q_t = a_t Q_{t-1} - Q_{t-2}), non-zero before the root since the path
+    without its root has digits <= -2 and is negative definite.  It leaves
+    Q_t z_t + Q_{t-1} z_{t+1} = R_t with R_t = b_t Q_{t-1} - R_{t-1}, and on
+    the roots and the (+1)s the integer 4x4 core
+    [[Q_p, -Q'_p, -Q'_p, -Q'_p], [-Q'_q, Q_q, -Q'_q, -Q'_q], [-1, -1, 0, -1],
+    [-1, -1, -1, 0]] (Q, Q' a path's last two minors), whose determinant
+    -(w_p w_q + Q'_p w_q + Q'_q w_p), w = Q + Q', is det M.  So
+    M^-1 = E^T M'^-1 E costs a closed-form core solve and two exact back
+    substitutions.
 
     By Sylvester's law of inertia sigma = 3 - n + (-1)^n det M for every
-    class.  In each chain m_ii = tb_i - 1 and m_ij = tb_min(i,j), with
-    tb_1 <= -1 decreasing, and all cross linkings are -1.  So for N, the
-    (n-2)x(n-2) block of both chains, -N is I plus psd min-kernels plus an
-    all-ones coupling: -N >= I and N is negative definite.  The Schur
-    complement of N in M is [[b, b-1], [b-1, b]] with b = -1^T N^-1 1 > 0
-    and eigenvalues 1 and 2b-1; det M = det N (2b-1), sign det N = (-1)^n.
-    All leading principal minors are non-zero (minors of N up to order n-2,
-    then b det N, then det M), so elimination in display order never swaps.
+    class.  For N, the (n-2)x(n-2) block of both chains, -N is I plus psd
+    min-kernels plus an all-ones coupling: -N >= I and N is negative
+    definite.  The Schur complement of N in M is [[b, b-1], [b-1, b]] with
+    b = -1^T N^-1 1 > 0 and eigenvalues 1 and 2b-1; det M = det N (2b-1),
+    sign det N = (-1)^n.
     """
 
     def __init__(self, p: int, q: int):
@@ -95,31 +110,103 @@ class _Context:
                 )
 
         u, v = len(self.chain_p), len(self.chain_q)
-        n = u + v + 2
+        n = self.size = u + v + 2
+        self.chi = n + 1
+        # (display start, length, 1 and the leading minors of the slid path)
+        self._paths = tuple(
+            (base, len(chain), _path_minors(chain.digits[:0:-1] + (chain.digits[0] - 1,)))
+            for chain, base in ((self.chain_p, 0), (self.chain_q, u))
+        )
+        # display successor within the chain; n (a zero pad) at the roots and (+1)s
+        self._successor = tuple(
+            n if i in (u - 1, n - 3) or i >= n - 2 else i + 1 for i in range(n)
+        )
+        # per path (w, Q'): Q' the minor before the root and w = Q + Q' the
+        # minor with the root's diagonal d_0, non-zero as all digits are <= -2
+        self._root_weights = tuple((m[-1] + m[-2], m[-2]) for _, _, m in self._paths)
+        (wp, tp), (wq, tq) = self._root_weights
+        self.det = -(wp * wq + tp * wq + tq * wp)
+        if abs(self.det) != 1:
+            raise AssertionError(f"linking matrix must be unimodular, det = {self.det}")
+        self.sigma = 3 - n + (-1) ** n * self.det
+        self._columns: dict[int, tuple[int, ...]] = {}
+        # M^-1 lk with lk the all -1 vector
+        self.inverse_lk = self._inverse_times((-1,) * n)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense linking matrix M in display order."""
+        n = self.size
         m = [[-1] * n for _ in range(n)]
-        # display order: p-chain reversed, q-chain reversed, the two (+1)s
-        for chain, base in ((self.chain_p, 0), (self.chain_q, u)):
-            k = len(chain)
+        for chain, (base, k, _) in zip((self.chain_p, self.chain_q), self._paths):
             for i in range(k):
                 for j in range(k):
                     di, dj = base + (k - 1 - i), base + (k - 1 - j)
                     m[di][dj] = chain.tb[i] - 1 if i == j else chain.tb[min(i, j)]
         m[n - 2][n - 2] = m[n - 1][n - 1] = 0
-        self.matrix = tuple(tuple(row) for row in m)
-        self.size = n
-        self.inverse, self.det = _diagonalize(self.matrix)
-        self.sigma = 3 - n + (-1) ** n * self.det
-        self.chi = n + 1
-        # M^-1 lk with lk the all -1 vector
-        self.inverse_lk = [-sum(row) for row in self.inverse]
+        return tuple(tuple(row) for row in m)
+
+    def _solve(self, b) -> list[int]:
+        """z with M' z = b: eliminate each path toward its root, solve the
+        core, back-substitute; every division is exact."""
+        n = self.size
+        reduced = []
+        for base, k, minors in self._paths:
+            r, rs = 0, []
+            for t in range(k):
+                r = b[base + t] * minors[t] - r
+                rs.append(r)
+            reduced.append(rs)
+        # core: with s the sum of its four unknowns the (+1) rows read
+        # z = s + b and the root rows Q z - Q' (s - z) = R, i.e. w z = R + Q' s;
+        # summing, det * s = w_q R_p + w_p R_q + w_p w_q (b_+ + b_+')
+        (wp, _), (wq, _) = weights = self._root_weights
+        rp, rq = reduced[0][-1], reduced[1][-1]
+        s = self.det * (wq * rp + wp * rq + wp * wq * (b[n - 2] + b[n - 1]))
+        z = [0] * n
+        z[n - 2], z[n - 1] = s + b[n - 2], s + b[n - 1]
+        for (base, k, minors), rs, (w, before) in zip(self._paths, reduced, weights):
+            nxt = z[base + k - 1] = (rs[-1] + before * s) // w
+            for t in range(k - 2, -1, -1):
+                nxt = (rs[t] - minors[t] * nxt) // minors[t + 1]
+                z[base + t] = nxt
+        return z
+
+    def _slide(self, x) -> list[tuple[int, int]]:
+        """The non-zero entries (i, y_i) of y = E x."""
+        x = (*x, 0)
+        return [(i, x[i] - x[s]) for i, s in enumerate(self._successor) if x[i] != x[s]]
+
+    def _inverse_times(self, x) -> tuple[int, ...]:
+        """M^-1 x = E^T M'^-1 E x."""
+        n = self.size
+        b = [0] * n
+        for i, yi in self._slide(x):
+            b[i] = yi
+        z = self._solve(b)
+        out = list(z)
+        for i, s in enumerate(self._successor):
+            if s < n:
+                out[s] -= z[i]
+        return tuple(out)
+
+    def _column(self, j: int) -> tuple[int, ...]:
+        """Column j of M'^-1, solved on first use."""
+        col = self._columns.get(j)
+        if col is None:
+            b = [0] * self.size
+            b[j] = 1
+            col = self._columns[j] = tuple(self._solve(b))
+        return col
 
     def c_squared(self, rot) -> int:
+        """rot^T M^-1 rot = y^T M'^-1 y with y = E rot; y of a rotation
+        vector is non-zero only at stabilized components."""
+        y = self._slide(rot)
         total = 0
-        inv = self.inverse
-        for i, ri in enumerate(rot):
-            if ri:
-                row = inv[i]
-                total += ri * sum(rj * row[j] for j, rj in enumerate(rot) if rj)
+        for j, yj in y:
+            col = self._column(j)
+            total += yj * sum(yi * col[i] for i, yi in y)
         return total
 
     def d3_from_rot(self, rot) -> int:
@@ -153,28 +240,13 @@ class _Context:
         return tuple(rot)
 
 
-def _diagonalize(matrix):
-    """Exact (integer inverse, det) of a unimodular matrix with non-zero
-    leading principal minors: fraction-free Bareiss-Jordan on [A | I], whose
-    k-th pivot is the k-th leading minor, ends with det * A^-1 on the right."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    det = 1
-    for k in range(n):
-        piv = aug[k][k]
-        if piv == 0:
-            raise AssertionError("singular linking matrix")
-        for i in range(n):
-            if i == k:
-                continue
-            row_i, fik = aug[i], aug[i][k]
-            row_k = aug[k]
-            for j in range(2 * n):
-                row_i[j] = (piv * row_i[j] - fik * row_k[j]) // det
-        det = piv
-    if abs(det) != 1:
-        raise AssertionError(f"linking matrix must be unimodular, det = {det}")
-    return tuple(tuple(x // det for x in row[n:]) for row in aug), det
+def _path_minors(diagonal) -> tuple[int, ...]:
+    """1, then the leading principal minors (continuants) of the path matrix
+    with this diagonal and +1 between neighbours."""
+    minors = [0, 1]
+    for a in diagonal:
+        minors.append(a * minors[-1] - minors[-2])
+    return tuple(minors[1:])
 
 
 def compile_diagram(d: DecoratedPathPair) -> SurgeryDiagram:

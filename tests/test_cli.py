@@ -142,3 +142,20 @@ def test_classify_deterministic_across_processes():
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second and first
+
+
+def test_broken_pipe_exits_quietly():
+    import os
+    import subprocess
+    import sys
+
+    # default (buffered) stdout; 3.5 MB of JSON overflows the pipe buffer, so
+    # the write fails once the reader has gone
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, "-m", "nonloose.cli", "classify", "2", "-1001", "--format", "json"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -3,7 +3,15 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nonloose.atlas import classify
 from nonloose.decorations import (
+    DecoratedPathPair,
+    count_m,
+    count_n,
+    count_totally_2_inconsistent,
     enumerate_decorations,
     parse_decoration,
 )
@@ -180,6 +188,29 @@ def leading_minors(matrix):
     return minors
 
 
+def _diagonalize(matrix):
+    """Dense oracle: exact (integer inverse, det) of a unimodular matrix with
+    non-zero leading principal minors by fraction-free Bareiss-Jordan on
+    [A | I], whose k-th pivot is the k-th leading minor; it ends with
+    det * A^-1 on the right."""
+    n = len(matrix)
+    aug = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    det = 1
+    for k in range(n):
+        piv = aug[k][k]
+        assert piv != 0, "singular linking matrix"
+        for i in range(n):
+            if i == k:
+                continue
+            row_i, fik = aug[i], aug[i][k]
+            row_k = aug[k]
+            for j in range(2 * n):
+                row_i[j] = (piv * row_i[j] - fik * row_k[j]) // det
+        det = piv
+    assert abs(det) == 1, f"linking matrix must be unimodular, det = {det}"
+    return tuple(tuple(x // det for x in row[n:]) for row in aug), det
+
+
 def test_determinants_unimodular():
     # the exact leading minors are an oracle for sigma independent of the
     # determinant formula: by Jacobi's rule the negative eigenvalues are
@@ -197,11 +228,89 @@ def test_determinants_unimodular():
                 seq = [1] + minors
                 changes = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
                 assert ctx.sigma == n - 2 * changes, (p, q)
+                inverse, det = _diagonalize(ctx.matrix)
                 product = [
-                    [sum(ctx.matrix[i][k] * ctx.inverse[k][j] for k in range(n)) for j in range(n)]
+                    [sum(ctx.matrix[i][k] * inverse[k][j] for k in range(n)) for j in range(n)]
                     for i in range(n)
                 ]
                 assert product == [[int(i == j) for j in range(n)] for i in range(n)], (p, q)
+                # the structured solve against the dense oracle
+                assert ctx.det == det, (p, q)
+                assert ctx.sigma == 3 - n + (-1) ** n * det, (p, q)
+                assert ctx.inverse_lk == tuple(-sum(row) for row in inverse), (p, q)
+
+
+def test_structured_context_matches_dense():
+    # c^2 and rot_L of the rotation vectors of every decoration on the
+    # p <= 39, |q| <= 40 sweep against the dense inverse
+    for p in range(2, 40):
+        for aq in range(p + 1, 41):
+            if gcd(p, aq) != 1:
+                continue
+            for q in (aq, -aq):
+                ctx = knot_surgery_context(p, q)
+                inverse, _ = _diagonalize(ctx.matrix)
+                row_sums = [sum(row) for row in inverse]
+                decs = enumerate_decorations(p, q)
+                for d in decs:
+                    rot = ctx.rotation_vector(d)
+                    dense = sum(
+                        ri * rj * inverse[i][j]
+                        for i, ri in enumerate(rot) if ri
+                        for j, rj in enumerate(rot) if rj
+                    )
+                    assert ctx.c_squared(rot) == dense, (p, q, d)
+                    assert ctx.rot_l_from_rot(rot, 3) == 3 + sum(
+                        r * w for r, w in zip(rot, row_sums)
+                    ), (p, q, d)
+
+
+@st.composite
+def _class_and_decoration(draw):
+    aq = draw(st.integers(3, 400))
+    p = draw(st.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
+    q = draw(st.sampled_from((aq, -aq)))
+    ctx = knot_surgery_context(p, q)
+    counts = tuple(draw(st.integers(0, b.edge_count)) for b in ctx.blocks)
+    return ctx, DecoratedPathPair(p, q, counts)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_class_and_decoration())
+def test_structured_context_exact_residuals(drawn):
+    ctx, d = drawn
+    m, n = ctx.matrix, ctx.size
+
+    def times(x):
+        return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+    assert abs(ctx.det) == 1
+    assert times(ctx.inverse_lk) == (-1,) * n
+    rot = ctx.rotation_vector(d)
+    z = ctx._inverse_times(rot)
+    assert times(z) == rot
+    assert ctx.c_squared(rot) == sum(a * b for a, b in zip(rot, z))
+
+
+def test_long_chains_classify_without_dense_matrix():
+    for q in (1001, 10001):
+        atlas = classify(2, q)
+        n, t2 = count_n(2, q), count_totally_2_inconsistent(2, q)
+        assert dict(atlas.counts) == {"m": count_m(2, q), "n": n, "totally2": t2}
+        assert len(atlas.structures) == n + t2 // 2
+    assert "matrix" not in knot_surgery_context(2, 1001).__dict__
+
+
+def test_cached_context_read_only():
+    ctx = knot_surgery_context(2, -3)
+    with pytest.raises(TypeError):
+        ctx.inverse_lk[0] += 5
+    for chain in (ctx.chain_p, ctx.chain_q):
+        for values in (chain.digits, chain.tb, chain.stabs):
+            with pytest.raises(TypeError):
+                values[0] = 0
+    diag = compile_diagram(parse_decoration(2, -3, "P1:+|P2:-"))
+    assert rot_surgered(diag) == -7
 
 
 def test_signature_euler_api():
