@@ -10,7 +10,6 @@ from .atlas import (
     TransverseEntry,
     classify,
     mountain_range,
-    transverse_classify,
     wing_extent,
 )
 from .decorations import (
@@ -27,6 +26,7 @@ from .decorations import (
 from .farey import (
     INFINITY,
     CFExpansion,
+    InvariantError,
     Slope,
     anticlockwise_neighbor,
     cf_expand,
@@ -56,15 +56,8 @@ from .paths import (
     build_pair,
     decompose_blocks,
     shorten,
-    truncate_p2,
 )
-from .surgery import (
-    SurgeryDiagram,
-    compile_diagram,
-    d3,
-    rot_surgered,
-    signature_euler,
-)
+from .surgery import SurgeryDiagram, compile_diagram
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,7 @@ from .decorations import (
     enumerate_decorations,
     negate,
 )
-from .farey import dot, farey_sum
+from .farey import audit, dot, farey_sum
 from .invariants import half_lutz_d3, parity_ok, rotation_data
 from .paths import block_far_slopes, build_pair, decompose_blocks
 from .surgery import knot_surgery_context
@@ -159,12 +159,8 @@ def _uniform_side_signs(d: DecoratedPathPair):
     """(sign of P1, sign of P2) when every block is uniform and each side
     carries a single sign (suffix included); None otherwise."""
     sides = {}
-    for b in d.blocks:
-        c = d.plus_counts[b.index - 1]
-        if c not in (0, b.edge_count):
-            return None
-        s = +1 if c == b.edge_count else -1
-        if sides.setdefault(b.side, s) != s:
+    for b, s in zip(d.blocks, d.block_signs):
+        if s == 0 or sides.setdefault(b.side, s) != s:
             return None
     return sides["P1"], sides["P2"]
 
@@ -213,11 +209,11 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     for orbit, mirror in orbit_pairs:
         key = orbit[0]
         cc_key = classify_consistency(key)
-        assert cc_key.kind == "inconsistent" and cc_key.i == 2
+        audit(cc_key.kind == "inconsistent" and cc_key.i == 2, "orbits start 2-inconsistent")
         ctx = knot_surgery_context(p, q)
-        d3_value = ctx.d3_from_rot(ctx.rotation_vector(key))
+        d3_value = ctx.d3(key.signed_counts)
         for m in orbit + mirror:
-            assert ctx.d3_from_rot(ctx.rotation_vector(m)) == d3_value, "orbit d3 drift"
+            audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
         orbit_strings = tuple(decoration_string(m) for m in orbit + mirror)
         members = [m for m in orbit if classify_consistency(m).kind == "inconsistent"]
         tops = [m for m in orbit if classify_consistency(m).kind == "totally_consistent"]
@@ -225,7 +221,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         totally2 = cc_key.totally_2_inconsistent
 
         if tops:
-            assert pq > 0
+            audit(pq > 0, "only pq > 0 orbits have a totally consistent top")
             structures.append(
                 _exceptional_positive(pair, d3_value, orbit_strings, members, tops[0])
             )
@@ -235,16 +231,16 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         exceptional_neg = pq < 0 and uniform is not None and uniform[0] == -uniform[1]
         special_pos = pq > 0 and uniform is not None and uniform[0] == -uniform[1]
         if exceptional_neg:
-            assert d3_value == bound + 1
+            audit(d3_value == bound + 1, "exceptional pq < 0 d3 must be |pq| - p - |q| + 1")
         if special_pos:
-            assert d3_value == -pq + p + q
+            audit(d3_value == -pq + p + q, "special pq > 0 d3 must be -pq + p + q")
         if exceptional_neg or special_pos:
-            assert totally2 and len(members) == 1
+            audit(totally2 and len(members) == 1, "split-sign orbits: one totally-2 member")
 
         crossing = pq - sgn * abs_r[2]
-        assert abs(crossing) <= bound, "Bennequin bound violated by X crossing"
+        audit(abs(crossing) <= bound, "Bennequin bound violated by X crossing")
         if exceptional_neg:
-            assert crossing == bound
+            audit(crossing == bound, "the exceptional X crosses at the Bennequin bound")
 
         st, tr = _generic_structure(
             pair, d3_value, orbit_strings, members, abs_r, crossing,
@@ -261,7 +257,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             transverse.append(tr2)
 
     for st in structures:
-        assert parity_ok(pq > 0, st.half_integer_torsion, st.d3)
+        audit(parity_ok(pq > 0, st.half_integer_torsion, st.d3), "d3 parity law violated")
 
     structures.sort(key=lambda s: (-s.d3, s.half_integer_torsion, s.orbits))
     transverse.sort(key=lambda t: (-t.d3, [ (c.sl, c.torsion2) for c in t.classes ]))
@@ -281,15 +277,15 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
 
     n_count = count_n(p, q)
     t2_count = count_totally_2_inconsistent(p, q)
-    assert len(orbit_pairs) == n_count
-    assert len(final) == n_count + t2_count // 2
+    audit(len(orbit_pairs) == n_count, "orbit pairs must number n(p,q)")
+    audit(len(final) == n_count + t2_count // 2, "structures must number n + totally2/2")
     counts = MappingProxyType({"m": count_m(p, q), "n": n_count, "totally2": t2_count})
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
 def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Structure:
     p, q, pq = pair.p, pair.q, pair.p * pair.q
-    assert d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1"
+    audit(d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1")
     vertex = pq - p - q + 2
     fams = [
         _point("vx", "v_vertex", 0, vertex, 0, "loose", "loose"),
@@ -297,7 +293,7 @@ def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Struct
         _leg("v-", "v_leg_minus", -1, vertex, 0, tb_min=vertex + 1),
     ]
     abs_r2 = abs(rotation_data(members[0]).R)
-    assert abs_r2 == p + q - 2, "V corners sit at rot = -/+(p+q-2)"
+    audit(abs_r2 == p + q - 2, "V corners sit at rot = -/+(p+q-2)")
     wing_data = []
     peaks = [(classify_consistency(m).i, m) for m in members[1:]]
     peaks.append((len(decompose_blocks(pair).blocks) + 1, top))
@@ -305,7 +301,7 @@ def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Struct
     for j, member in peaks:
         r = abs(rotation_data(member).R)
         offset = _merge_offset(pair, j - 1)
-        assert prev_abs - r == offset, "diamond peaks must be merge-offset apart"
+        audit(prev_abs - r == offset, "diamond peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         for sign, tag in ((+1, "+"), (-1, "-")):
             fams.append(
@@ -345,7 +341,7 @@ def _generic_structure(
         j = classify_consistency(m).i
         r = abs_r[j]
         offset = _merge_offset(pair, j - 1)
-        assert abs(r - prev_abs) == offset, "wing peaks must be merge-offset apart"
+        audit(abs(r - prev_abs) == offset, "wing peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         inner_plus = "x+" if j == 3 else f"w{j-1}+"
         inner_minus = "x-" if j == 3 else f"w{j-1}-"
@@ -379,7 +375,7 @@ def _generic_structure(
         )
 
     if totally2:
-        assert not wing_data, "torsion towers only occur on wingless chains"
+        audit(not wing_data, "torsion towers only occur on wingless chains")
         for level in range(2, max_torsion2 + 1, 2):
             _x_legs(fams, crossing, level, False, threshold)
         notes.append(
@@ -457,15 +453,6 @@ def _half_lutz_structure(
         ("infinite family indexed by torsion; truncated in this report",),
     )
     return st, tr
-
-
-def transverse_classify(p: int, q: int, max_torsion2: int = 4):
-    """Map d3 -> transverse entries (quotient by negative stabilization)."""
-    atlas = classify(p, q, max_torsion2)
-    out: dict[int, list[TransverseEntry]] = {}
-    for entry in atlas.transverse:
-        out.setdefault(entry.d3, []).append(entry)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .farey import (
 )
 from .invariants import parity_ok, rotation_data
 from .paths import block_far_slopes, build_pair, decompose_blocks
-from .surgery import compile_diagram, d3 as d3_of_diagram, knot_surgery_context
+from .surgery import knot_surgery_context
 
 
 def knot_classes(pmax: int, qmax: int):
@@ -150,7 +150,7 @@ def check_rotations(pmax: int = 9, qmax: int = 40):
         seen = set()
         for d in enumerate_decorations(p, q):
             big_r = rotation_data(d).R
-            surg = ctx.rot_l_from_rot(ctx.rotation_vector(d))
+            surg = ctx.rot_l(d.signed_counts)
             if big_r != surg:
                 bad.append(f"({p},{q}) {d} {big_r} != {surg}")
             if big_r in seen:
@@ -163,26 +163,24 @@ def check_structural(pmax: int = 9, qmax: int = 40):
     bad = []
     for p, q in knot_classes(pmax, qmax):
         pq = p * q
+        ctx = knot_surgery_context(p, q)
         blocks = decompose_blocks(build_pair(p, q)).blocks
         sizes = [b.edge_count for b in blocks]
         all_plus = DecoratedPathPair(p, q, tuple(sizes))
         all_minus = DecoratedPathPair(p, q, tuple(0 for _ in sizes))
         expect = 1 if pq > 0 else 0
         for d in (all_plus, all_minus):
-            if d3_of_diagram(compile_diagram(d)) != expect:
+            if ctx.d3(d.signed_counts) != expect:
                 bad.append(f"({p},{q}) all-same-signs d3")
         split = tuple(
             (b.edge_count if b.side == "P1" else 0) for b in blocks
         )
         d_split = DecoratedPathPair(p, q, split)
         expect_split = -pq + p + q if pq > 0 else abs(pq) - p - abs(q) + 1
-        if d3_of_diagram(compile_diagram(d_split)) != expect_split:
+        if ctx.d3(d_split.signed_counts) != expect_split:
             bad.append(f"({p},{q}) P1+/P2- d3")
-        ctx = knot_surgery_context(p, q)
         for d in enumerate_decorations(p, q):
-            if ctx.d3_from_rot(ctx.rotation_vector(d)) != ctx.d3_from_rot(
-                ctx.rotation_vector(negate(d))
-            ):
+            if ctx.d3(d.signed_counts) != ctx.d3(negate(d).signed_counts):
                 bad.append(f"({p},{q}) d3 not mirror invariant")
                 break
     return ("structural d3 identities", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")

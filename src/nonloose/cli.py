@@ -2,7 +2,7 @@
 
 Verbs: classify, paths, decorations, surgery, invariants, mountain, verify.
 Exit codes: 0 success, 1 usage error or stdout closed early, 2 verification
-failure.
+or audit failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .decorations import (
     describes_tight,
     enumerate_decorations,
     parse_decoration,
+    sign_strings,
 )
+from .farey import InvariantError
 from .invariants import cross_check_rot, rotation_data, self_linking
 from .paths import build_pair
 from .render import render_ascii, render_svg
@@ -29,7 +31,7 @@ from .serialize import (
     diagram_to_dict,
     paths_to_dict,
 )
-from .surgery import compile_diagram, d3 as d3_of_diagram, rot_surgered, signature_euler
+from .surgery import compile_diagram
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,9 +143,8 @@ def _cmd_decorations(args) -> int:
     for d in enumerate_decorations(args.p, args.q):
         cc = classify_consistency(d)
         data = rotation_data(d)
-        folded = ",".join(
-            "+" if s > 0 else "-" for s in tuple(reversed(d.signs1)) + d.signs2
-        )
+        along_p1, along_p2 = sign_strings(d)
+        folded = ",".join(along_p1[::-1] + along_p2)
         rows.append(
             {
                 "decoration": decoration_string(d),
@@ -152,7 +153,7 @@ def _cmd_decorations(args) -> int:
                 "totally_2_inconsistent": cc.totally_2_inconsistent,
                 "tight": describes_tight(d),
                 "R": data.R,
-                "d3": d3_of_diagram(compile_diagram(d)),
+                "d3": compile_diagram(d).d3,
             }
         )
     if args.format == "json":
@@ -174,14 +175,14 @@ def _cmd_decorations(args) -> int:
 def _cmd_surgery(args) -> int:
     d = parse_decoration(args.p, args.q, args.decoration)
     diagram = compile_diagram(d)
-    sigma, chi = signature_euler(diagram)
+    sigma, chi = diagram.sigma, diagram.chi
     data = diagram_to_dict(diagram)
     data.update(
         {
             "sigma": sigma,
             "chi": chi,
-            "d3": d3_of_diagram(diagram),
-            "rot_surgered": rot_surgered(diagram),
+            "d3": diagram.d3,
+            "rot_surgered": diagram.rot_l,
         }
     )
     if args.format == "json":
@@ -210,9 +211,9 @@ def _cmd_invariants(args) -> int:
         "r_m": data.r_m,
         "r_n": data.r_n,
         "R": data.R,
-        "rot_surgered": rot_surgered(diagram),
+        "rot_surgered": diagram.rot_l,
         "cross_check": cross_check_rot(d),
-        "d3": d3_of_diagram(diagram),
+        "d3": diagram.d3,
         "sl_at_tb_pq": self_linking(args.p * args.q, data.R),
     }
     if args.format == "json":
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"audit failed: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so
         # the flush at interpreter exit does not raise again

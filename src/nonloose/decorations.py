@@ -2,8 +2,10 @@
 
 A decoration class is determined by the number of + signs in each
 continued fraction block (shuffling signs inside a block preserves the
-contact structure), so classes are stored as one plus-count per block,
-in block-index order.  Canonical edge signs put the + signs first.
+contact structure), so classes are stored as one plus-count c_b per block,
+in block-index order.  Canonical edge signs put the + signs first.  Every
+invariant of a class (consistency, tightness, rotation numbers, d3) reads
+only its signed block counts x_b = 2 c_b - e_b, e_b the block's edge count.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, prod
+from functools import cached_property, lru_cache
+from math import ceil, gcd, prod
 
-from .farey import Slope, make_slope, negative_cf, raw_diff
+from .farey import Slope, audit, make_slope, negative_cf, raw_diff
 from .paths import Block, build_pair, decompose_blocks
 
 
@@ -37,34 +39,33 @@ class DecoratedPathPair:
     def blocks(self) -> tuple[Block, ...]:
         return _blocks_of(self.p, self.q)
 
-    def _side_signs(self, side: str) -> tuple[int, ...]:
-        out = []
-        for b in self.blocks:
-            if b.side != side:
-                continue
-            c = self.plus_counts[b.index - 1]
-            out.extend([+1] * c + [-1] * (b.edge_count - c))
-        return tuple(out)
+    @cached_property
+    def signed_counts(self) -> tuple[int, ...]:
+        """x_b = 2 c_b - e_b per block: + signs minus - signs."""
+        return tuple(2 * c - b.edge_count for c, b in zip(self.plus_counts, self.blocks))
 
-    @property
-    def signs1(self) -> tuple[int, ...]:
-        """Edge signs along P1 (from q/p outward), canonical order."""
-        return self._side_signs("P1")
-
-    @property
-    def signs2(self) -> tuple[int, ...]:
-        return self._side_signs("P2")
+    @cached_property
+    def block_signs(self) -> tuple[int, ...]:
+        """+1 / -1 per uniformly signed block, 0 per mixed one."""
+        return tuple(
+            1 if c == b.edge_count else -1 if c == 0 else 0
+            for c, b in zip(self.plus_counts, self.blocks)
+        )
 
     def __str__(self) -> str:
         return decoration_string(self)
 
 
-def _sign_str(signs) -> str:
-    return "".join("+" if s > 0 else "-" for s in signs)
+def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
+    """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
+    sides = {"P1": "", "P2": ""}
+    for c, b in zip(d.plus_counts, d.blocks):
+        sides[b.side] += "+" * c + "-" * (b.edge_count - c)
+    return sides["P1"], sides["P2"]
 
 
 def decoration_string(d: DecoratedPathPair) -> str:
-    return f"P1:{_sign_str(d.signs1)}|P2:{_sign_str(d.signs2)}"
+    return "P1:{}|P2:{}".format(*sign_strings(d))
 
 
 def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
@@ -95,9 +96,9 @@ def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
 
 
 def negate(d: DecoratedPathPair) -> DecoratedPathPair:
-    sizes = [b.edge_count for b in d.blocks]
+    """The mirror class: every sign flipped, x -> -x (c_b - x_b = e_b - c_b)."""
     return DecoratedPathPair(
-        d.p, d.q, tuple(e - c for c, e in zip(d.plus_counts, sizes))
+        d.p, d.q, tuple(c - x for c, x in zip(d.plus_counts, d.signed_counts))
     )
 
 
@@ -122,33 +123,18 @@ class ConsistencyClass:
     totally_2_inconsistent: bool
 
 
-def _block_sign(d: DecoratedPathPair, block: Block) -> int:
-    """+1 / -1 for a uniformly signed block, 0 for a mixed one."""
-    c = d.plus_counts[block.index - 1]
-    if c == block.edge_count:
-        return +1
-    if c == 0:
-        return -1
-    return 0
-
-
 def breaking_index(d: DecoratedPathPair) -> int | None:
     """Smallest i such that blocks 1..i are not uniformly one sign."""
-    current = 0
-    for b in d.blocks:
-        s = _block_sign(d, b)
-        if s == 0 or (current != 0 and s != current):
-            return b.index
-        current = s
+    signs = d.block_signs
+    for i, s in enumerate(signs):
+        if s == 0 or s != signs[0]:
+            return i + 1
     return None
 
 
 def classify_consistency(d: DecoratedPathPair) -> ConsistencyClass:
-    blocks = d.blocks
-    t2i = False
-    if len(blocks) >= 2:
-        s1, s2 = _block_sign(d, blocks[0]), _block_sign(d, blocks[1])
-        t2i = s1 != 0 and s2 == -s1
+    signs = d.block_signs
+    t2i = len(signs) >= 2 and signs[0] != 0 and signs[1] == -signs[0]
     b = breaking_index(d)
     if b is None:
         return ConsistencyClass("totally_consistent", None, False)
@@ -160,15 +146,8 @@ def describes_tight(d: DecoratedPathPair) -> bool:
     the standard tight structure, whatever the integer-run suffix does."""
     if d.q > 0:
         return False
-    sign = 0
-    for b in d.blocks:
-        if not b.in_truncation:
-            continue
-        s = _block_sign(d, b)
-        if s == 0 or (sign != 0 and s != sign):
-            return False
-        sign = s
-    return True
+    signs = [s for s, b in zip(d.block_signs, d.blocks) if b.in_truncation]
+    return signs[0] != 0 and signs.count(signs[0]) == len(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +178,18 @@ def shuffle_down(d: DecoratedPathPair) -> DecoratedPathPair | None:
         return shuffle_down_from_consistent(d) if d.q > 0 else None
     if b < 3 or not d.blocks[b - 1].in_truncation:
         return None
-    assert _extension_ok(d, b), "shuffle invalidated by block geometry"
-    blocks = d.blocks
-    sigma = _block_sign(d, blocks[0])
-    assert sigma != 0
-    sizes = [blk.edge_count for blk in blocks]
+    audit(_extension_ok(d, b), "shuffle invalidated by block geometry")
+    sigma = d.block_signs[0]
+    audit(sigma != 0, "an i-inconsistent class, i >= 3, starts with a uniform block")
+    sizes = [blk.edge_count for blk in d.blocks]
     new = list(d.plus_counts)
     for j in range(b - 2):
         new[j] = 0 if sigma > 0 else sizes[j]
     new[b - 2] = 1 if sigma > 0 else sizes[b - 2] - 1
     new[b - 1] += 1 if sigma > 0 else -1
-    assert 0 <= new[b - 1] <= sizes[b - 1]
+    audit(0 <= new[b - 1] <= sizes[b - 1], "shuffle overflows block b")
     out = DecoratedPathPair(d.p, d.q, tuple(new))
-    assert breaking_index(out) == b - 1
+    audit(breaking_index(out) == b - 1, "shuffle_down must lower the breaking index by 1")
     return out
 
 
@@ -221,13 +199,13 @@ def shuffle_down_from_consistent(d: DecoratedPathPair) -> DecoratedPathPair:
     if d.q < 0 or breaking_index(d) is not None:
         raise ValueError("needs the pq > 0 totally consistent class")
     blocks = d.blocks
-    assert blocks[-1].side == "P2", "last block should sit on P2 for pq > 0"
-    sigma = _block_sign(d, blocks[0])
+    audit(blocks[-1].side == "P2", "last block should sit on P2 for pq > 0")
+    sigma = d.block_signs[0]
     sizes = [blk.edge_count for blk in blocks]
     new = [0 if sigma > 0 else sz for sz in sizes]
     new[-1] = 1 if sigma > 0 else sizes[-1] - 1
     out = DecoratedPathPair(d.p, d.q, tuple(new))
-    assert breaking_index(out) == len(blocks)
+    audit(breaking_index(out) == len(blocks), "the re-signing must break at the last block")
     return out
 
 
@@ -241,7 +219,7 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
         return None
     blocks = d.blocks
     sizes = [blk.edge_count for blk in blocks]
-    tau = _block_sign(d, blocks[0])
+    tau = d.block_signs[0]
     if tau == 0:
         return None
     # block b must carry exactly one edge signed opposite to tau
@@ -297,23 +275,30 @@ def compatibility_orbit(d: DecoratedPathPair) -> list[DecoratedPathPair]:
 # counting formulas
 
 
+def _upper_digits(v: Fraction) -> list[int]:
+    """Digits of the solid torus with upper meridian 0 and dividing slope v, |v| > 1."""
+    return negative_cf(v if v < 0 else 1 / (1 / v - 1))
+
+
+def _lower_digits(v: Fraction) -> list[int]:
+    """Digits of the solid torus with lower meridian infinity and dividing
+    slope v, v not an integer."""
+    return negative_cf(1 / (v - ceil(v)))
+
+
+def _tight_count(digits: list[int]) -> int:
+    return abs(prod(x + 1 for x in digits[:-1]) * digits[-1])
+
+
 def _ab_digits(p: int, q: int) -> tuple[list[int], list[int]]:
-    s = Fraction(q, p)
-    if q < 0:
-        a = negative_cf(s)
-    else:
-        a = negative_cf(1 / (Fraction(p, q) - 1))
-    ceil_s = -((-q) // p)
-    b = negative_cf(1 / (s - ceil_s))
-    return a, b
+    v = Fraction(q, p)
+    return _upper_digits(v), _lower_digits(v)
 
 
 def count_m(p: int, q: int) -> int:
-    """Number of decoration classes: |Tight(S^1xD^2;q/p)| x |Tight(S^1xD^2;p/q)|."""
+    """Number of decoration classes: |Tight(S^0; q/p)| x |Tight(S_inf; q/p)|."""
     a, b = _ab_digits(p, q)
-    return abs(prod(x + 1 for x in a[:-1]) * a[-1]) * abs(
-        prod(x + 1 for x in b[:-1]) * b[-1]
-    )
+    return _tight_count(a) * _tight_count(b)
 
 
 def count_n(p: int, q: int) -> int:
@@ -331,11 +316,7 @@ def tight_count_solid_torus_upper(r: Slope) -> int:
     """|Tight(S^0; r)|: solid torus with upper meridian 0, dividing slope r."""
     if r.is_infinite or abs(r.as_fraction()) <= 1:
         raise ValueError("dividing slope must be finite with |r| > 1")
-    v = r.as_fraction()
-    if v > 1:
-        v = 1 / (1 / v - 1)
-    digits = negative_cf(v)
-    return abs(prod(x + 1 for x in digits[:-1]) * digits[-1])
+    return _tight_count(_upper_digits(r.as_fraction()))
 
 
 def tight_count_solid_torus_lower(r: Slope) -> int:
@@ -344,10 +325,7 @@ def tight_count_solid_torus_lower(r: Slope) -> int:
         raise ValueError("dividing slope must be finite")
     if r.is_integer:
         return 1
-    v = r.as_fraction()
-    ceil_v = -((-v.numerator) // v.denominator)
-    digits = negative_cf(1 / (v - ceil_v))
-    return abs(prod(x + 1 for x in digits[:-1]) * digits[-1])
+    return _tight_count(_lower_digits(r.as_fraction()))
 
 
 def tight_count_lens(p: int, q: int) -> int:

@@ -12,6 +12,16 @@ from fractions import Fraction
 from math import gcd
 
 
+class InvariantError(AssertionError):
+    """One of the paper's internal cross-checks failed: a fault in the engine."""
+
+
+def audit(cond: bool, msg: str) -> None:
+    """Raise InvariantError unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise InvariantError(msg)
+
+
 @dataclass(frozen=True)
 class Slope:
     """A Farey vertex: reduced num/den with den >= 0, or infinity = 1/0."""
@@ -144,7 +154,7 @@ def negative_cf(value: Fraction) -> list[int]:
             break
         # next value = -1/(value - a) = -rem_den/rem_num, again < -1
         num, den = -rem_den, rem_num
-    assert all(d <= -2 for d in digits), digits
+    audit(all(d <= -2 for d in digits), "negative_cf produced a digit above -2")
     return digits
 
 

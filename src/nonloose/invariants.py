@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decorations import DecoratedPathPair, classify_consistency
-from .farey import raw_diff
+from .farey import audit, raw_diff
 from .surgery import knot_surgery_context
 
 
@@ -27,27 +27,24 @@ def rotation_data(d: DecoratedPathPair) -> RotationData:
 
     Edge signs are read on the oriented paths exactly as built (P1 and P2
     both from q/p outward); edges of one block share the same un-reduced
-    Farey difference, so only the per-block signed count enters.
+    Farey difference, so only the signed block count x_b enters.
     """
     r_m = 0
     r_n = 0
-    for b in d.blocks:
-        c = d.plus_counts[b.index - 1]
-        signed = 2 * c - b.edge_count
+    for b, x in zip(d.blocks, d.signed_counts):
         dn, dd = raw_diff(b.vertices[1], b.vertices[0])
         if b.side == "P1":
-            r_m += signed * (-dd)
+            r_m += x * (-dd)
         else:
-            r_n += signed * dn
+            r_n += x * dn
     data = RotationData(r_m, r_n, d.p * r_n + d.q * r_m)
-    assert abs(data.r_m) <= d.p - 1 and abs(data.r_n) <= abs(d.q) - 1
+    audit(abs(r_m) <= d.p - 1 and abs(r_n) <= abs(d.q) - 1, "rotation data out of bounds")
     return data
 
 
 def cross_check_rot(d: DecoratedPathPair) -> bool:
     """R from the Farey formula must equal the surgery-formula rotation."""
-    ctx = knot_surgery_context(d.p, d.q)
-    return rotation_data(d).R == ctx.rot_l_from_rot(ctx.rotation_vector(d))
+    return rotation_data(d).R == knot_surgery_context(d.p, d.q).rot_l(d.signed_counts)
 
 
 def half_lutz_d3(d: DecoratedPathPair) -> int:
@@ -56,8 +53,7 @@ def half_lutz_d3(d: DecoratedPathPair) -> int:
     2-inconsistent classes carry the half-integer torsion families."""
     if not classify_consistency(d).totally_2_inconsistent:
         raise ValueError("half Lutz twist families need a totally 2-inconsistent class")
-    ctx = knot_surgery_context(d.p, d.q)
-    base = ctx.d3_from_rot(ctx.rotation_vector(d))
+    base = knot_surgery_context(d.p, d.q).d3(d.signed_counts)
     big_r = abs(rotation_data(d).R)
     pq = d.p * d.q
     if pq > 0:

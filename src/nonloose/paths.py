@@ -151,17 +151,6 @@ def p2_truncated(pair: PathPair) -> FareyPath:
     return FareyPath(tuple(vertices))
 
 
-def truncate_p2(pair: PathPair) -> FareyPath:
-    """The truncated path P2^T from q/p to ceil(q/p); defined for pq < 0 only.
-
-    For pq > 0 the truncation is the identity by convention and this
-    operation refuses; use p2_truncated for the uniform helper.
-    """
-    if pair.pq_positive:
-        raise ValueError("truncate_p2 applies to pq < 0 only (identity for pq > 0)")
-    return p2_truncated(pair)
-
-
 def _split_blocks(path: FareyPath) -> list[tuple[tuple[Slope, ...], Slope]]:
     """Split a path into maximal runs of edges with equal Farey difference."""
     out: list[tuple[tuple[Slope, ...], Slope]] = []

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .decorations import DecoratedPathPair
-from .farey import clockwise_neighbor, make_slope, negative_cf
+from .farey import audit, clockwise_neighbor, make_slope, negative_cf
 from .paths import build_pair, decompose_blocks
 
 
@@ -37,6 +37,10 @@ class SurgeryDiagram:
     linking_matrix: tuple[tuple[int, ...], ...]
     plus_one_count: int
     rational_coefficients: tuple[Fraction, Fraction]
+    sigma: int
+    chi: int
+    d3: int  # of the presented structure, tight standard structure at 0
+    rot_l: int  # rotation number of the pattern knot after surgery
 
     @property
     def rotation_vector(self) -> tuple[int, ...]:
@@ -86,6 +90,12 @@ class _Context:
     M^-1 = E^T M'^-1 E costs a closed-form core solve and two exact back
     substitutions.
 
+    The rotation vector of a class slides to y = E rot, which is flip_b x_b
+    at the slot of block b (the display position of its stabilized
+    component, flip +1 on P1 and -1 on P2) and 0 elsewhere.  So with the
+    k x k Gram matrix G = flip flip' M'^-1 at the slots, c^2 = x^T G x, and
+    rot_L = -rot^T M^-1 lk (lk all -1) is linear in x.
+
     By Sylvester's law of inertia sigma = 3 - n + (-1)^n det M for every
     class.  For N, the (n-2)x(n-2) block of both chains, -N is I plus psd
     min-kernels plus an all-ones coupling: -N >= I and N is negative
@@ -96,42 +106,48 @@ class _Context:
 
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
-        self.blocks = decompose_blocks(build_pair(p, q)).blocks
+        blocks = decompose_blocks(build_pair(p, q)).blocks
         neighbor = clockwise_neighbor(make_slope(q, p))
         self.chain_p = _Chain(Fraction(-p, neighbor.den))
         self.chain_q = _Chain(Fraction(-q, q - neighbor.num))
-
-        for chain, side in ((self.chain_p, "P1"), (self.chain_q, "P2")):
-            budgets = [s for s in chain.stabs if s > 0]
-            side_blocks = [b.edge_count for b in self.blocks if b.side == side]
-            if budgets != side_blocks:
-                raise AssertionError(
-                    f"chain/block mismatch for ({p},{q}) {side}: {budgets} vs {side_blocks}"
-                )
-
         u, v = len(self.chain_p), len(self.chain_q)
         n = self.size = u + v + 2
         self.chi = n + 1
+
+        # (display position, flip) per block, matched to its chain's
+        # stabilized components in order
+        slots = [None] * len(blocks)
+        for chain, base, side, flip in ((self.chain_p, 0, "P1", 1), (self.chain_q, u, "P2", -1)):
+            stabilized = [i for i, s in enumerate(chain.stabs) if s > 0]
+            side_blocks = [b for b in blocks if b.side == side]
+            budgets = [chain.stabs[i] for i in stabilized]
+            sizes = [b.edge_count for b in side_blocks]
+            audit(budgets == sizes, f"chain/block mismatch ({p},{q}) {side}: {budgets} vs {sizes}")
+            for i, b in zip(stabilized, side_blocks):
+                slots[b.index - 1] = (base + len(chain) - 1 - i, flip)
+        self.slots = tuple(slots)
+
         # (display start, length, 1 and the leading minors of the slid path)
         self._paths = tuple(
             (base, len(chain), _path_minors(chain.digits[:0:-1] + (chain.digits[0] - 1,)))
             for chain, base in ((self.chain_p, 0), (self.chain_q, u))
-        )
-        # display successor within the chain; n (a zero pad) at the roots and (+1)s
-        self._successor = tuple(
-            n if i in (u - 1, n - 3) or i >= n - 2 else i + 1 for i in range(n)
         )
         # per path (w, Q'): Q' the minor before the root and w = Q + Q' the
         # minor with the root's diagonal d_0, non-zero as all digits are <= -2
         self._root_weights = tuple((m[-1] + m[-2], m[-2]) for _, _, m in self._paths)
         (wp, tp), (wq, tq) = self._root_weights
         self.det = -(wp * wq + tp * wq + tq * wp)
-        if abs(self.det) != 1:
-            raise AssertionError(f"linking matrix must be unimodular, det = {self.det}")
+        audit(abs(self.det) == 1, f"linking matrix must be unimodular, det = {self.det}")
         self.sigma = 3 - n + (-1) ** n * self.det
-        self._columns: dict[int, tuple[int, ...]] = {}
-        # M^-1 lk with lk the all -1 vector
-        self.inverse_lk = self._inverse_times((-1,) * n)
+
+        columns = [self._solve([int(t == j) for t in range(n)]) for j, _ in self.slots]
+        self.gram = tuple(
+            tuple(f * g * col[t] for t, g in self.slots)
+            for (_, f), col in zip(self.slots, columns)
+        )
+        # E lk is -1 at the roots and the (+1)s
+        z = self._solve([-int(t in (u - 1, n - 3, n - 2, n - 1)) for t in range(n)])
+        self.lk_weights = tuple(-f * z[t] for t, f in self.slots)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -172,72 +188,30 @@ class _Context:
                 z[base + t] = nxt
         return z
 
-    def _slide(self, x) -> list[tuple[int, int]]:
-        """The non-zero entries (i, y_i) of y = E x."""
-        x = (*x, 0)
-        return [(i, x[i] - x[s]) for i, s in enumerate(self._successor) if x[i] != x[s]]
-
-    def _inverse_times(self, x) -> tuple[int, ...]:
-        """M^-1 x = E^T M'^-1 E x."""
-        n = self.size
-        b = [0] * n
-        for i, yi in self._slide(x):
-            b[i] = yi
-        z = self._solve(b)
-        out = list(z)
-        for i, s in enumerate(self._successor):
-            if s < n:
-                out[s] -= z[i]
-        return tuple(out)
-
-    def _column(self, j: int) -> tuple[int, ...]:
-        """Column j of M'^-1, solved on first use."""
-        col = self._columns.get(j)
-        if col is None:
-            b = [0] * self.size
-            b[j] = 1
-            col = self._columns[j] = tuple(self._solve(b))
-        return col
-
-    def c_squared(self, rot) -> int:
-        """rot^T M^-1 rot = y^T M'^-1 y with y = E rot; y of a rotation
-        vector is non-zero only at stabilized components."""
-        y = self._slide(rot)
-        total = 0
-        for j, yj in y:
-            col = self._column(j)
-            total += yj * sum(yi * col[i] for i, yi in y)
-        return total
-
-    def d3_from_rot(self, rot) -> int:
-        num = self.c_squared(rot) - 3 * self.sigma - 2 * (self.chi - 1)
-        if num % 4:
-            raise AssertionError("d3 did not come out an integer: convention fault")
+    def d3(self, x) -> int:
+        """d3 of the class with signed block counts x (tight standard
+        structure at 0): c^2 = x^T G x."""
+        c2 = sum(xi * sum(g * xj for g, xj in zip(row, x)) for row, xi in zip(self.gram, x) if xi)
+        num = c2 - 3 * self.sigma - 2 * (self.chi - 1)
+        audit(num % 4 == 0, "d3 did not come out an integer: convention fault")
         return num // 4 + 2
 
-    def rot_l_from_rot(self, rot, rot0: int = 0) -> int:
-        return rot0 - sum(r * w for r, w in zip(rot, self.inverse_lk) if r)
+    def rot_l(self, x) -> int:
+        """Rotation number of the pattern knot after surgery (all linkings -1)."""
+        return sum(w * xb for w, xb in zip(self.lk_weights, x))
 
-    def rotation_vector(self, d: DecoratedPathPair) -> tuple[int, ...]:
-        """Component rotation numbers from the block signs: P1 signs map
-        directly to stabilization signs, P2 signs flipped (a positive basic
-        slice on the upper-meridian torus is a negative stabilization)."""
-        u = len(self.chain_p)
-        rot = [0] * self.size
-        for chain, base, side, flip in (
-            (self.chain_p, 0, "P1", +1),
-            (self.chain_q, u, "P2", -1),
-        ):
-            side_blocks = (b for b in self.blocks if b.side == side)
-            running = 0
-            k = len(chain)
-            for i, s in enumerate(chain.stabs):
-                if s > 0:
-                    blk = next(side_blocks)
-                    c = d.plus_counts[blk.index - 1]
-                    running += flip * (2 * c - blk.edge_count)
-                rot[base + (k - 1 - i)] = running
-        return tuple(rot)
+    def rotation_vector(self, x) -> tuple[int, ...]:
+        """Component rotation numbers of the class with signed block counts
+        x: per chain, the suffix sums toward the root of y = E rot.  P1 signs
+        map directly to stabilization signs, P2 signs flipped (a positive
+        basic slice on the upper-meridian torus is a negative stabilization)."""
+        y = [0] * self.size
+        for (t, flip), xb in zip(self.slots, x):
+            y[t] = flip * xb
+        rot = []
+        for base, k, _ in self._paths:
+            rot += reversed(tuple(accumulate(reversed(y[base : base + k]))))
+        return tuple(rot) + (0, 0)
 
 
 def _path_minors(diagonal) -> tuple[int, ...]:
@@ -250,9 +224,11 @@ def _path_minors(diagonal) -> tuple[int, ...]:
 
 
 def compile_diagram(d: DecoratedPathPair) -> SurgeryDiagram:
-    """The contact (+-1)-surgery presentation of the class d."""
+    """The contact (+-1)-surgery presentation of the class d with its
+    signature, Euler characteristic, d3 and rot_L."""
     ctx = knot_surgery_context(d.p, d.q)
-    rot = ctx.rotation_vector(d)
+    x = d.signed_counts
+    rot = ctx.rotation_vector(x)
     comps = []
     u = len(ctx.chain_p)
     for chain, base in ((ctx.chain_p, 0), (ctx.chain_q, u)):
@@ -277,21 +253,8 @@ def compile_diagram(d: DecoratedPathPair) -> SurgeryDiagram:
         ctx.matrix,
         2,
         (ctx.chain_p.coefficient, ctx.chain_q.coefficient),
+        ctx.sigma,
+        ctx.chi,
+        ctx.d3(x),
+        ctx.rot_l(x),
     )
-
-
-def signature_euler(diagram: SurgeryDiagram) -> tuple[int, int]:
-    ctx = knot_surgery_context(diagram.p, diagram.q)
-    return ctx.sigma, ctx.chi
-
-
-def d3(diagram: SurgeryDiagram) -> int:
-    """d3-invariant of the presented structure (tight standard structure at 0)."""
-    ctx = knot_surgery_context(diagram.p, diagram.q)
-    return ctx.d3_from_rot(diagram.rotation_vector)
-
-
-def rot_surgered(diagram: SurgeryDiagram, rot0: int = 0) -> int:
-    """Rotation number of the pattern knot after surgery (all linkings -1)."""
-    ctx = knot_surgery_context(diagram.p, diagram.q)
-    return ctx.rot_l_from_rot(diagram.rotation_vector, rot0)

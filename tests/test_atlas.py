@@ -8,7 +8,6 @@ from nonloose.atlas import (
     classify,
     default_window,
     mountain_range,
-    transverse_classify,
     wing_extent,
 )
 from nonloose.decorations import parse_decoration
@@ -19,6 +18,13 @@ def structure_map(atlas):
     out = {}
     for st in atlas.structures:
         out.setdefault(st.d3, []).append(st)
+    return out
+
+
+def transverse_map(atlas):
+    out = {}
+    for entry in atlas.transverse:
+        out.setdefault(entry.d3, []).append(entry)
     return out
 
 
@@ -175,7 +181,7 @@ def test_wing_extent_op():
 
 
 def test_transverse_58():
-    trans = transverse_classify(5, 8, max_torsion2=2)
+    trans = transverse_map(classify(5, 8, max_torsion2=2))
     assert sorted(trans) == [-27, -19, -15, -9, -8, -7, -4, -3, -2, -1, 0]
     ((xi_m1,),) = (trans[-1],)
     assert [(c.sl, c.torsion2, c.next) for c in xi_m1.classes] == [
@@ -193,7 +199,7 @@ def test_transverse_58():
 
 
 def test_transverse_5m8():
-    trans = transverse_classify(5, -8, max_torsion2=2)
+    trans = transverse_map(classify(5, -8, max_torsion2=2))
     assert sorted(trans) == [1, 2, 7, 8, 14, 28]
     ((xi2,),) = (trans[2],)
     assert [(c.sl, c.next) for c in xi2.classes] == [(-23, 1), (-25, None)]

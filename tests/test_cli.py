@@ -159,3 +159,22 @@ def test_broken_pipe_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_audits_survive_optimize():
+    import subprocess
+    import sys
+
+    # a wrong merge offset breaks the diamond-peak cross-check of (5,8); the
+    # audit must fire with asserts stripped, and the CLI must exit 2
+    code = (
+        "import nonloose.atlas as a, nonloose.cli as c; "
+        "a._merge_offset = lambda pair, j: 0; "
+        "raise SystemExit(c.main(['classify', '5', '8']))"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "audit failed: diamond peaks must be merge-offset apart"
+    ]

@@ -198,6 +198,26 @@ def test_orbit_partition():
             }
 
 
+def test_block_record_matches_edge_expansion():
+    # x_b and the block signs against the per-edge signs of each block, read
+    # off the decoration string, on the p <= 39, |q| <= 40 sweep
+    for p, q in knot_range(39, 40):
+        blocks = decompose_blocks(build_pair(p, q)).blocks
+        for d in enumerate_decorations(p, q):
+            sides = dict(chunk.split(":") for chunk in decoration_string(d).split("|"))
+            offsets = {"P1": 0, "P2": 0}
+            xs, signs = [], []
+            for b in blocks:
+                start = offsets[b.side]
+                chunk = sides[b.side][start : start + b.edge_count]
+                edges = [1 if ch == "+" else -1 for ch in chunk]
+                offsets[b.side] += b.edge_count
+                xs.append(sum(edges))
+                signs.append(edges[0] if len(set(edges)) == 1 else 0)
+            assert d.signed_counts == tuple(xs), (p, q, d)
+            assert d.block_signs == tuple(signs), (p, q, d)
+
+
 def test_decoration_parse_roundtrip():
     for p, q in [(5, 8), (5, -8), (2, -5)]:
         for d in enumerate_decorations(p, q):

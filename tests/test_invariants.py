@@ -15,7 +15,7 @@ from nonloose.invariants import (
     rotation_data,
     self_linking,
 )
-from nonloose.surgery import compile_diagram, d3
+from nonloose.surgery import compile_diagram
 
 
 def test_rotation_data_2_plus_family():
@@ -84,7 +84,7 @@ def test_half_lutz_58():
         from nonloose.decorations import classify_consistency
 
         if classify_consistency(d).totally_2_inconsistent:
-            shifts[d3(compile_diagram(d))] = half_lutz_d3(d)
+            shifts[compile_diagram(d).d3] = half_lutz_d3(d)
     assert shifts == {-9: -8, -15: -4, -19: -2, -27: 0}
 
 
@@ -94,14 +94,14 @@ def test_half_lutz_5m8():
         from nonloose.decorations import classify_consistency
 
         if classify_consistency(d).totally_2_inconsistent:
-            shifts[d3(compile_diagram(d))] = half_lutz_d3(d)
+            shifts[compile_diagram(d).d3] = half_lutz_d3(d)
     assert shifts == {14: 7, 28: 1}
 
 
 def test_half_lutz_2_plus():
     for n in range(1, 11):
         d = parse_decoration(2, 2 * n + 1, "P1:-|P2:++")
-        assert d3(compile_diagram(d)) == 1 - 2 * n
+        assert compile_diagram(d).d3 == 1 - 2 * n
         assert half_lutz_d3(d) == 0
 
 

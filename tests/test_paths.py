@@ -13,7 +13,6 @@ from nonloose.paths import (
     decompose_blocks,
     p2_truncated,
     shorten,
-    truncate_p2,
 )
 
 
@@ -43,12 +42,10 @@ def test_build_pair_rejects_bad_input():
 
 
 def test_truncate_p2():
-    assert verts(truncate_p2(build_pair(8, -21))) == ["-21/8", "-13/5", "-5/2", "-2"]
-    assert verts(truncate_p2(build_pair(2, -3))) == ["-3/2", "-1"]
-    assert verts(truncate_p2(build_pair(5, -8))) == ["-8/5", "-3/2", "-1"]
-    with pytest.raises(ValueError):
-        truncate_p2(build_pair(5, 8))
-    # the uniform helper is the identity for pq > 0
+    assert verts(p2_truncated(build_pair(8, -21))) == ["-21/8", "-13/5", "-5/2", "-2"]
+    assert verts(p2_truncated(build_pair(2, -3))) == ["-3/2", "-1"]
+    assert verts(p2_truncated(build_pair(5, -8))) == ["-8/5", "-3/2", "-1"]
+    # the truncation is the identity for pq > 0
     assert p2_truncated(build_pair(5, 8)) == build_pair(5, 8).p2
 
 

@@ -15,13 +15,8 @@ from nonloose.decorations import (
     enumerate_decorations,
     parse_decoration,
 )
-from nonloose.surgery import (
-    compile_diagram,
-    d3,
-    knot_surgery_context,
-    rot_surgered,
-    signature_euler,
-)
+from nonloose.paths import build_pair, decompose_blocks
+from nonloose.surgery import compile_diagram, knot_surgery_context
 
 GOLDEN_58 = (
     (-4, -2, -1, -1, -1, -1),
@@ -110,7 +105,7 @@ def test_rotation_vectors_5m8():
 
 
 def test_d3_values_58():
-    got = sorted(d3(compile_diagram(d)) for d in enumerate_decorations(5, 8))
+    got = sorted(compile_diagram(d).d3 for d in enumerate_decorations(5, 8))
     assert got == sorted(
         [1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -3, -3, -7, -7,
          -9, -9, -15, -15, -19, -19, -27, -27]
@@ -118,7 +113,7 @@ def test_d3_values_58():
 
 
 def test_d3_values_5m8():
-    got = sorted(d3(compile_diagram(d)) for d in enumerate_decorations(5, -8))
+    got = sorted(compile_diagram(d).d3 for d in enumerate_decorations(5, -8))
     assert got == sorted([0, 0, 2, 2, 2, 2, 8, 8, 14, 14, 28, 28])
 
 
@@ -127,7 +122,7 @@ def test_d3_2_minus_family():
     # tight classes at 0
     for n in range(1, 7):
         q = -(2 * n + 1)
-        got = sorted(d3(compile_diagram(d)) for d in enumerate_decorations(2, q))
+        got = sorted(compile_diagram(d).d3 for d in enumerate_decorations(2, q))
         expected = sorted(
             [0] * (2 * n)
             + [n + l + 1 for l in range(-n + 1, n, 2) for _ in (0, 1)]
@@ -237,12 +232,12 @@ def test_determinants_unimodular():
                 # the structured solve against the dense oracle
                 assert ctx.det == det, (p, q)
                 assert ctx.sigma == 3 - n + (-1) ** n * det, (p, q)
-                assert ctx.inverse_lk == tuple(-sum(row) for row in inverse), (p, q)
 
 
 def test_structured_context_matches_dense():
-    # c^2 and rot_L of the rotation vectors of every decoration on the
-    # p <= 39, |q| <= 40 sweep against the dense inverse
+    # d3 and rot_L from the signed block counts of every decoration on the
+    # p <= 39, |q| <= 40 sweep against c^2 = rot^T M^-1 rot and
+    # rot_L = -rot^T M^-1 lk (lk all -1) with the dense inverse
     for p in range(2, 40):
         for aq in range(p + 1, 41):
             if gcd(p, aq) != 1:
@@ -251,18 +246,17 @@ def test_structured_context_matches_dense():
                 ctx = knot_surgery_context(p, q)
                 inverse, _ = _diagonalize(ctx.matrix)
                 row_sums = [sum(row) for row in inverse]
-                decs = enumerate_decorations(p, q)
-                for d in decs:
-                    rot = ctx.rotation_vector(d)
+                shift = 3 * ctx.sigma + 2 * (ctx.chi - 1)
+                for d in enumerate_decorations(p, q):
+                    x = d.signed_counts
+                    rot = ctx.rotation_vector(x)
                     dense = sum(
                         ri * rj * inverse[i][j]
                         for i, ri in enumerate(rot) if ri
                         for j, rj in enumerate(rot) if rj
                     )
-                    assert ctx.c_squared(rot) == dense, (p, q, d)
-                    assert ctx.rot_l_from_rot(rot, 3) == 3 + sum(
-                        r * w for r, w in zip(rot, row_sums)
-                    ), (p, q, d)
+                    assert 4 * (ctx.d3(x) - 2) == dense - shift, (p, q, d)
+                    assert ctx.rot_l(x) == sum(r * w for r, w in zip(rot, row_sums)), (p, q, d)
 
 
 @st.composite
@@ -270,9 +264,24 @@ def _class_and_decoration(draw):
     aq = draw(st.integers(3, 400))
     p = draw(st.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
     q = draw(st.sampled_from((aq, -aq)))
-    ctx = knot_surgery_context(p, q)
-    counts = tuple(draw(st.integers(0, b.edge_count)) for b in ctx.blocks)
-    return ctx, DecoratedPathPair(p, q, counts)
+    blocks = decompose_blocks(build_pair(p, q)).blocks
+    counts = tuple(draw(st.integers(0, b.edge_count)) for b in blocks)
+    return knot_surgery_context(p, q), DecoratedPathPair(p, q, counts)
+
+
+def _inverse_times(ctx, b):
+    """M^-1 b = E^T M'^-1 E b through the structured solve, E sliding each
+    chain component but the root over its display successor."""
+    n, u = ctx.size, len(ctx.chain_p)
+    slides = [t for t in range(n - 2) if t not in (u - 1, n - 3)]
+    y = list(b)
+    for t in slides:
+        y[t] -= b[t + 1]
+    z = ctx._solve(y)
+    w = list(z)
+    for t in slides:
+        w[t + 1] -= z[t]
+    return w
 
 
 @settings(derandomize=True, deadline=None)
@@ -285,11 +294,16 @@ def test_structured_context_exact_residuals(drawn):
         return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
 
     assert abs(ctx.det) == 1
-    assert times(ctx.inverse_lk) == (-1,) * n
-    rot = ctx.rotation_vector(d)
-    z = ctx._inverse_times(rot)
+    lk = (-1,) * n
+    inverse_lk = _inverse_times(ctx, lk)
+    assert times(inverse_lk) == lk
+    x = d.signed_counts
+    rot = ctx.rotation_vector(x)
+    z = _inverse_times(ctx, rot)
     assert times(z) == rot
-    assert ctx.c_squared(rot) == sum(a * b for a, b in zip(rot, z))
+    c2 = sum(a * b for a, b in zip(rot, z))
+    assert 4 * (ctx.d3(x) - 2) == c2 - 3 * ctx.sigma - 2 * (ctx.chi - 1)
+    assert ctx.rot_l(x) == -sum(a * b for a, b in zip(rot, inverse_lk))
 
 
 def test_long_chains_classify_without_dense_matrix():
@@ -304,20 +318,26 @@ def test_long_chains_classify_without_dense_matrix():
 def test_cached_context_read_only():
     ctx = knot_surgery_context(2, -3)
     with pytest.raises(TypeError):
-        ctx.inverse_lk[0] += 5
+        ctx.lk_weights[0] += 5
+    for values in (ctx.slots, ctx.slots[0], ctx.gram, ctx.gram[0]):
+        with pytest.raises(TypeError):
+            values[0] = 0
     for chain in (ctx.chain_p, ctx.chain_q):
         for values in (chain.digits, chain.tb, chain.stabs):
             with pytest.raises(TypeError):
                 values[0] = 0
-    diag = compile_diagram(parse_decoration(2, -3, "P1:+|P2:-"))
-    assert rot_surgered(diag) == -7
+    d = parse_decoration(2, -3, "P1:+|P2:-")
+    for values in (d.signed_counts, d.block_signs):
+        with pytest.raises(TypeError):
+            values[0] = 0
+    assert compile_diagram(d).rot_l == -7
 
 
 def test_signature_euler_api():
     diag = compile_diagram(parse_decoration(2, -3, "P1:+|P2:-"))
-    assert signature_euler(diag) == (-1, 6)
-    assert d3(diag) == 2
-    assert rot_surgered(diag) == -7
+    assert (diag.sigma, diag.chi) == (-1, 6)
+    assert diag.d3 == 2
+    assert diag.rot_l == -7
 
 
 def test_rotation_vector_2_minus_general():
