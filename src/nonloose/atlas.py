@@ -13,7 +13,8 @@ convex torsion stays integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 
 from .decorations import (
@@ -469,12 +470,42 @@ class PointInfo:
 
 @dataclass(frozen=True)
 class MountainRange:
+    """The mountain range of one d3 in a tb window.  The extent is known at
+    construction; `points` is filled on first read, so a caller that refuses
+    the window by its size never builds a cell."""
+
     p: int
     q: int
     d3: int
     tb_range: tuple[int, int]
     rot_range: tuple[int, int]
-    points: dict  # (rot, tb) -> PointInfo
+    structures: tuple[Structure, ...]
+
+    @cached_property
+    def points(self) -> dict:
+        """(rot, tb) -> PointInfo; O(points)."""
+        p, q = self.p, self.q
+        tb_lo, tb_hi = self.tb_range
+        cells: dict[tuple[int, int], tuple] = {}  # -> (families, tower, extra)
+
+        def put(keys, cell):
+            new = dict.fromkeys(keys, cell)
+            for key in new.keys() & cells.keys():
+                old = cells[key]
+                new[key] = (tuple(sorted({*old[0], *cell[0]})), old[1] or cell[1], old[2] or cell[2])
+            cells.update(new)
+
+        for st in self.structures:
+            for fid, slope, cs, lo, hi, tower, extra in _lines(st, p, q, tb_lo, tb_hi):
+                for c in cs:
+                    rots = range(slope * lo + c, slope * hi + c + slope, slope) if slope else repeat(c)
+                    put(zip(rots, range(lo, hi + 1)), ((fid,), tower, extra))
+            if st.exceptional and p * q > 0:
+                for row in _diamond_rows(st, p, q, tb_lo, tb_hi):
+                    put(row, (("diamond",), False, False))
+        # one PointInfo per distinct cell; they are immutable, so points share them
+        info = {cell: PointInfo(len(cell[0]), *cell) for cell in set(cells.values())}
+        return dict(zip(cells, map(info.__getitem__, cells.values())))
 
 
 def default_window(atlas: Atlas, d3_value: int) -> tuple[int, int]:
@@ -492,83 +523,83 @@ def default_window(atlas: Atlas, d3_value: int) -> tuple[int, int]:
 
 
 def mountain_range(atlas: Atlas, d3_value: int, tb_window=None) -> MountainRange:
-    """Realized (rot, tb) lattice points with multiplicities for one d3."""
+    """The realized (rot, tb) lattice points of one d3, with multiplicities.
+
+    The cost does not depend on the window: every line drawn has slope 0 or
+    +-1, so the rot extent sits at the clipped tb ends of its outermost
+    lines, and the diamonds lie inside the V.  The points are filled on
+    first read."""
     structs = atlas.structures_at(d3_value)
     if not structs:
         raise ValueError(f"no structure with d3 = {d3_value} in this atlas")
     if tb_window is None:
         tb_window = default_window(atlas, d3_value)
     tb_lo, tb_hi = tb_window
-
-    cells: dict[tuple[int, int], dict] = {}
-
-    def add(rot, tb, fid, tower=False, extra=False):
-        if not (tb_lo <= tb <= tb_hi):
-            return
-        cell = cells.setdefault((rot, tb), {"families": set(), "tower": False, "extra": False})
-        cell["families"].add(fid)
-        cell["tower"] = cell["tower"] or tower
-        cell["extra"] = cell["extra"] or extra
-
-    for st in structs:
-        if st.exceptional and atlas.p * atlas.q > 0:
-            _fill_exceptional_positive(atlas, st, add, tb_lo, tb_hi)
-        else:
-            _fill_leg_structure(atlas, st, add, tb_lo, tb_hi)
-
-    points = {
-        key: PointInfo(
-            len(cell["families"]), tuple(sorted(cell["families"])),
-            cell["tower"], cell["extra"],
-        )
-        for key, cell in cells.items()
-    }
-    if points:
-        rots = [r for r, _ in points]
-        rot_range = (min(rots), max(rots))
-    else:
-        rot_range = (0, 0)
-    return MountainRange(atlas.p, atlas.q, d3_value, (tb_lo, tb_hi), rot_range, points)
+    rots = [
+        slope * tb + c
+        for st in structs
+        for _, slope, cs, lo, hi, _, _ in _lines(st, atlas.p, atlas.q, tb_lo, tb_hi)
+        for c in (cs[0], cs[-1])
+        for tb in (lo, hi)
+    ]
+    rot_range = (min(rots), max(rots)) if rots else (0, 0)
+    return MountainRange(atlas.p, atlas.q, d3_value, (tb_lo, tb_hi), rot_range, structs)
 
 
-def _fill_leg_structure(atlas, st, add, tb_lo, tb_hi):
-    pq = atlas.p * atlas.q
+def _lines(st, p, q, tb_lo, tb_hi):
+    """The lines one structure draws in the window, each a tuple
+    (fid, slope, intercepts, lo, hi, tower, extra): the points
+    rot = slope*tb + c for every c in the ascending intercepts and
+    lo <= tb <= hi.  Lines that miss the window are left out."""
+    pq = p * q
+    if st.exceptional and pq > 0:
+        # the V; its vertex pq - p - q + 2 is odd (p, q coprime), so every
+        # V point has rot + tb odd
+        vertex = pq - p - q + 2
+        lo = max(tb_lo, vertex)
+        if lo <= tb_hi:
+            yield "v", +1, (-vertex,), lo, tb_hi, False, False
+            yield "v", -1, (vertex,), lo, tb_hi, False, False
+        return
     tower = any(f.torsion2 > 0 for f in st.families)
     min_t2 = min(f.torsion2 for f in st.families)
     drawable = [f for f in st.families if f.torsion2 <= min_t2 + 1]
     for f in drawable:
         if f.kind == "extra_Le":
-            add(f.rot_at_tbmax, f.tb_max, f.id, extra=True)
+            if tb_lo <= f.tb_max <= tb_hi:
+                yield f.id, 0, (f.rot_at_tbmax,), f.tb_max, f.tb_max, False, True
             continue
         if f.rot_slope == 0:
             continue
         lo = tb_lo if f.tb_min is None else max(tb_lo, f.tb_min)
         hi = tb_hi if f.tb_max is None else min(tb_hi, f.tb_max)
-        for tb in range(lo, hi + 1):
-            add(f.rot_at(tb), tb, f.id, tower=tower)
-    plus = sorted({f.rot_intercept for f in drawable if f.rot_slope == -1})
-    if len(plus) > 1:
-        for c in range(plus[0] + 2, plus[-1], 2):
-            if c in plus:
-                continue
-            for tb in range(tb_lo, min(tb_hi, pq) + 1):
-                add(c - tb, tb, "wing_region+", tower=tower)
-                add(tb - c, tb, "wing_region-", tower=tower)
+        if lo <= hi:
+            yield f.id, f.rot_slope, (f.rot_intercept,), lo, hi, tower, False
+    # the wing strips: every free crossing strictly between the outermost
+    # L_+ legs, drawn for tb <= pq
+    plus = {f.rot_intercept for f in drawable if f.rot_slope == -1}
+    hi = min(tb_hi, pq)
+    if len(plus) > 1 and tb_lo <= hi:
+        free = [c for c in range(min(plus) + 2, max(plus), 2) if c not in plus]
+        if free:
+            yield "wing_region+", -1, free, tb_lo, hi, tower, False
+            yield "wing_region-", +1, [-c for c in reversed(free)], tb_lo, hi, tower, False
 
 
-def _fill_exceptional_positive(atlas, st, add, tb_lo, tb_hi):
-    p, q = atlas.p, atlas.q
+def _diamond_rows(st, p, q, tb_lo, tb_hi):
+    """The diamond points strictly inside the V, as runs of (rot, tb): row
+    tb <= pq holds the union of |rot - r0| <= pq - tb over the peaks r0,
+    with rot + tb odd."""
     pq = p * q
     vertex = pq - p - q + 2
-    peaks = [f.rot_at_tbmax for f in st.families if f.kind == "diamond_peak"]
-    for tb in range(max(tb_lo, vertex), tb_hi + 1):
-        top = tb - vertex
-        for rot in range(-top, top + 1):
-            if (rot + tb) % 2 == 0:
-                continue
-            on_v = abs(rot) == top
-            in_cone = tb <= pq and any(abs(rot - r0) <= pq - tb for r0 in peaks)
-            if on_v:
-                add(rot, tb, "v")
-            elif in_cone:
-                add(rot, tb, "diamond")
+    peaks = sorted(f.rot_at_tbmax for f in st.families if f.kind == "diamond_peak")
+    for tb in range(max(tb_lo, vertex), min(tb_hi, pq) + 1):
+        top, radius = tb - vertex, pq - tb
+        nxt = 2 - top  # the lowest interior rot not yet emitted, up to parity
+        for r0 in peaks:
+            lo = max(nxt, r0 - radius)
+            lo += (lo + top) % 2
+            hi = min(top - 2, r0 + radius)
+            if lo <= hi:
+                yield zip(range(lo, hi + 1, 2), repeat(tb))
+                nxt = hi + 1

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import checks
 from .atlas import classify, mountain_range
 from .decorations import (
     classify_consistency,
@@ -25,13 +24,10 @@ from .decorations import (
 from .farey import InvariantError
 from .invariants import cross_check_rot, rotation_data, self_linking
 from .paths import build_pair
-from .render import render_ascii, render_svg
-from .serialize import (
-    atlas_to_dict,
-    diagram_to_dict,
-    paths_to_dict,
-)
 from .surgery import compile_diagram
+
+# checks, render and serialize are imported by the verbs that use them, so a
+# CLI run loads only what its verb needs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +90,8 @@ def build_parser() -> _Parser:
 def _cmd_classify(args) -> int:
     atlas = classify(args.p, args.q, args.max_torsion2)
     if args.format == "json":
+        from .serialize import atlas_to_dict
+
         sys.stdout.write(_dump(atlas_to_dict(atlas)))
         return 0
     print(f"({args.p},{args.q})-torus knot: counts {dict(atlas.counts)}")
@@ -124,6 +122,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    from .serialize import paths_to_dict
+
     pair = build_pair(args.p, args.q)
     data = paths_to_dict(pair)
     if args.format == "json":
@@ -173,6 +173,8 @@ def _cmd_decorations(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
+    from .serialize import diagram_to_dict
+
     d = parse_decoration(args.p, args.q, args.decoration)
     diagram = compile_diagram(d)
     sigma, chi = diagram.sigma, diagram.chi
@@ -233,34 +235,19 @@ def _cmd_mountain(args) -> int:
         window = (args.tb_min, args.tb_max)
     mr = mountain_range(atlas, args.d3, window)
     if args.format == "json":
-        payload = {
-            "knot": {"p": args.p, "q": args.q},
-            "d3": args.d3,
-            "tb_range": list(mr.tb_range),
-            "rot_range": list(mr.rot_range),
-            "points": [
-                {
-                    "rot": rot,
-                    "tb": tb,
-                    "count": info.count,
-                    "tower": info.tower,
-                    "extra": info.extra,
-                    "families": list(info.families),
-                }
-                for (rot, tb), info in sorted(
-                    mr.points.items(), key=lambda kv: (-kv[0][1], kv[0][0])
-                )
-            ],
-        }
-        sys.stdout.write(_dump(payload))
-    elif args.format == "svg":
-        sys.stdout.write(render_svg(mr))
-    else:
-        sys.stdout.write(render_ascii(mr))
+        from .serialize import mountain_to_dict
+
+        sys.stdout.write(_dump(mountain_to_dict(mr)))
+        return 0
+    from .render import render_ascii, render_svg
+
+    sys.stdout.write(render_svg(mr) if args.format == "svg" else render_ascii(mr))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     failures = 0
     for name, ok, detail in checks.run_all(args.pmax, args.qmax):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
+from html import escape
 
 from .atlas import MountainRange
 
@@ -16,11 +16,10 @@ def _cell_budget() -> int:
 
 
 def _grid(mrange: MountainRange):
+    """The box to draw, refused before any point is built when it has more
+    cells than the budget."""
     tb_lo, tb_hi = mrange.tb_range
-    if mrange.points:
-        rot_lo, rot_hi = mrange.rot_range
-    else:
-        rot_lo, rot_hi = 0, 0
+    rot_lo, rot_hi = mrange.rot_range
     cells = (tb_hi - tb_lo + 1) * (rot_hi - rot_lo + 1)
     if cells > _cell_budget():
         raise ValueError(
@@ -48,14 +47,18 @@ def render_ascii(mrange: MountainRange) -> str:
     if not mrange.points:
         return header + "\n"
     width = max(len(str(tb_hi)), len(str(tb_lo)))
+    columns = rot_hi - rot_lo + 1
+    rows: dict[int, list[str]] = {}
+    for (rot, tb), info in mrange.points.items():
+        row = rows.get(tb)
+        if row is None:
+            row = rows[tb] = ["."] * columns
+        row[rot - rot_lo] = _glyph(info)
+    blank = ["."] * columns
     for tb in range(tb_hi, tb_lo - 1, -1):
-        row = []
-        for rot in range(rot_lo, rot_hi + 1):
-            info = mrange.points.get((rot, tb))
-            row.append("." if info is None else _glyph(info))
-        lines.append(f"{tb:>{width}d} " + " ".join(row))
+        lines.append(f"{tb:>{width}d} " + " ".join(rows.get(tb, blank)))
     ticks = [rot_lo, 0, rot_hi] if rot_lo < 0 < rot_hi else [rot_lo, rot_hi]
-    axis = [" "] * (rot_hi - rot_lo + 1)
+    axis = [" "] * columns
     for t in ticks:
         axis[t - rot_lo] = "^"
     lines.append(" " * (width + 1) + " ".join(axis))
@@ -96,7 +99,8 @@ def render_svg(mrange: MountainRange) -> str:
             f"rot={rot} tb={tb} count={info.count}"
             + (" tower" if info.tower else "")
             + (" extra" if info.extra else "")
-            + " [" + ",".join(info.families) + "]"
+            + " [" + ",".join(info.families) + "]",
+            quote=False,
         )
         parts.append(
             f'<circle cx="{x(rot)}" cy="{y(tb)}" r="4" fill="{color}">'

@@ -7,6 +7,7 @@ from types import MappingProxyType
 from .atlas import (
     Atlas,
     KnotFamilyRecord,
+    MountainRange,
     Structure,
     TransverseClass,
     TransverseEntry,
@@ -150,4 +151,26 @@ def diagram_to_dict(diagram: SurgeryDiagram) -> dict:
         ],
         "linking_matrix": [list(row) for row in diagram.linking_matrix],
         "plus_one_count": diagram.plus_one_count,
+    }
+
+
+def mountain_to_dict(mr: MountainRange) -> dict:
+    """The points payload of `mountain --format json`: tb descending, then
+    rot ascending."""
+    return {
+        "knot": {"p": mr.p, "q": mr.q},
+        "d3": mr.d3,
+        "tb_range": list(mr.tb_range),
+        "rot_range": list(mr.rot_range),
+        "points": [
+            {
+                "rot": rot,
+                "tb": tb,
+                "count": info.count,
+                "tower": info.tower,
+                "extra": info.extra,
+                "families": list(info.families),
+            }
+            for (rot, tb), info in sorted(mr.points.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+        ],
     }

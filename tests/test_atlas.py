@@ -1,15 +1,18 @@
 """Atlas assembly: structures, families, transverse quotient, ranges."""
 
+import json
 from math import gcd
 
 import pytest
 
 from nonloose.atlas import (
+    PointInfo,
     classify,
     default_window,
     mountain_range,
     wing_extent,
 )
+from nonloose.cli import main
 from nonloose.decorations import parse_decoration
 from nonloose.serialize import atlas_from_dict, atlas_to_dict
 
@@ -338,3 +341,139 @@ def test_negative_wings_stay_disjoint():
     mr = mountain_range(atlas, 2, (-80, -20))
     doubles = sorted(k for k, v in mr.points.items() if v.count >= 2)
     assert doubles == [(0, -25)]
+
+
+# ---------------------------------------------------------------------------
+# the eager cell fill, kept as the oracle for the closed-form extent and the
+# O(points) fill: it walks every (rot, tb) cell of the V box and collects the
+# extent from the points it built
+
+
+def eager_mountain(atlas, d3_value, tb_window):
+    """(rot_range, points) of one d3 in a tb window, filled cell by cell."""
+    structs = atlas.structures_at(d3_value)
+    tb_lo, tb_hi = tb_window
+    cells = {}
+
+    def add(rot, tb, fid, tower=False, extra=False):
+        if not (tb_lo <= tb <= tb_hi):
+            return
+        cell = cells.setdefault((rot, tb), {"families": set(), "tower": False, "extra": False})
+        cell["families"].add(fid)
+        cell["tower"] = cell["tower"] or tower
+        cell["extra"] = cell["extra"] or extra
+
+    for st in structs:
+        if st.exceptional and atlas.p * atlas.q > 0:
+            _eager_exceptional_positive(atlas, st, add, tb_lo, tb_hi)
+        else:
+            _eager_leg_structure(atlas, st, add, tb_lo, tb_hi)
+
+    points = {
+        key: PointInfo(
+            len(cell["families"]), tuple(sorted(cell["families"])),
+            cell["tower"], cell["extra"],
+        )
+        for key, cell in cells.items()
+    }
+    if points:
+        rots = [r for r, _ in points]
+        rot_range = (min(rots), max(rots))
+    else:
+        rot_range = (0, 0)
+    return rot_range, points
+
+
+def _eager_leg_structure(atlas, st, add, tb_lo, tb_hi):
+    pq = atlas.p * atlas.q
+    tower = any(f.torsion2 > 0 for f in st.families)
+    min_t2 = min(f.torsion2 for f in st.families)
+    drawable = [f for f in st.families if f.torsion2 <= min_t2 + 1]
+    for f in drawable:
+        if f.kind == "extra_Le":
+            add(f.rot_at_tbmax, f.tb_max, f.id, extra=True)
+            continue
+        if f.rot_slope == 0:
+            continue
+        lo = tb_lo if f.tb_min is None else max(tb_lo, f.tb_min)
+        hi = tb_hi if f.tb_max is None else min(tb_hi, f.tb_max)
+        for tb in range(lo, hi + 1):
+            add(f.rot_at(tb), tb, f.id, tower=tower)
+    plus = sorted({f.rot_intercept for f in drawable if f.rot_slope == -1})
+    if len(plus) > 1:
+        for c in range(plus[0] + 2, plus[-1], 2):
+            if c in plus:
+                continue
+            for tb in range(tb_lo, min(tb_hi, pq) + 1):
+                add(c - tb, tb, "wing_region+", tower=tower)
+                add(tb - c, tb, "wing_region-", tower=tower)
+
+
+def _eager_exceptional_positive(atlas, st, add, tb_lo, tb_hi):
+    p, q = atlas.p, atlas.q
+    pq = p * q
+    vertex = pq - p - q + 2
+    peaks = [f.rot_at_tbmax for f in st.families if f.kind == "diamond_peak"]
+    for tb in range(max(tb_lo, vertex), tb_hi + 1):
+        top = tb - vertex
+        for rot in range(-top, top + 1):
+            if (rot + tb) % 2 == 0:
+                continue
+            on_v = abs(rot) == top
+            in_cone = tb <= pq and any(abs(rot - r0) <= pq - tb for r0 in peaks)
+            if on_v:
+                add(rot, tb, "v")
+            elif in_cone:
+                add(rot, tb, "diamond")
+
+
+MOUNTAIN_POOL = [
+    (p, q)
+    for p in range(2, 13)
+    for q in list(range(-20, -p)) + list(range(p + 1, 21))
+    if gcd(p, abs(q)) == 1
+]
+
+
+def edge_windows(atlas, d3_value):
+    """Windows entirely above and below every family, the bottom row of the
+    default window, and the single row tb = pq."""
+    pq = atlas.p * atlas.q
+    lo, hi = default_window(atlas, d3_value)
+    return [(hi + 1, hi + 3), (lo - 3, lo - 1), (lo, lo), (pq, pq)]
+
+
+def test_mountain_range_matches_eager_fill():
+    # every d3 of the pool on the edge windows; the default, a clipped and
+    # the (-150, 150) window, where the eager fill costs most, on every
+    # sixteenth class (the whole pool on all windows takes about 12 s)
+    assert len(MOUNTAIN_POOL) == 176
+    sampled = set(MOUNTAIN_POOL[::16])
+    for p, q in MOUNTAIN_POOL:
+        atlas = classify(p, q, max_torsion2=2)
+        for d3_value in sorted({s.d3 for s in atlas.structures}):
+            windows = edge_windows(atlas, d3_value)
+            if (p, q) in sampled:
+                lo, hi = default_window(atlas, d3_value)
+                windows += [None, (lo + 3, hi - 4), (-150, 150)]
+            for window in windows:
+                mr = mountain_range(atlas, d3_value, window)
+                tb_window = window or default_window(atlas, d3_value)
+                assert mr.tb_range == tb_window
+                expected = eager_mountain(atlas, d3_value, tb_window)
+                assert (mr.rot_range, mr.points) == expected, (p, q, d3_value, window)
+
+
+def test_cli_mountain_json_matches_eager_fill(capsys):
+    # a 601-row window on the exceptional structure of (5,8): the JSON
+    # format has no cell guard, so every point is emitted
+    assert main(["mountain", "5", "8", "--d3", "1", "--format", "json",
+                 "--tb-min", "-300", "--tb-max", "300"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    rot_range, points = eager_mountain(classify(5, 8), 1, (-300, 300))
+    assert data["tb_range"] == [-300, 300] and data["rot_range"] == list(rot_range)
+    assert data["points"] == [
+        {"rot": rot, "tb": tb, "count": info.count, "tower": info.tower,
+         "extra": info.extra, "families": list(info.families)}
+        for (rot, tb), info in sorted(points.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+    ]

@@ -68,3 +68,14 @@ def test_rht_xi_minus1_crossing():
     text = render_ascii(mr)
     rows = grid_of(text)
     assert rows[-1][rows[-1].index("*")] == "*"
+
+
+def test_refused_render_builds_no_point():
+    # the guard reads the closed-form extent: a refused window never fills
+    atlas = classify(5, 8)
+    for render in (render_ascii, render_svg):
+        mr = mountain_range(atlas, 1, (-10_000, 10_000))
+        assert mr.rot_range == (-(10_000 - 29), 10_000 - 29)
+        with pytest.raises(ValueError, match="ATLAS_MAX_CELLS"):
+            render(mr)
+        assert "points" not in mr.__dict__
