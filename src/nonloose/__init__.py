@@ -48,14 +48,12 @@ from .invariants import (
     self_linking,
 )
 from .paths import (
-    OVERTWISTED,
     BlockDecomposition,
     FareyPath,
     PathPair,
     block_far_slopes,
     build_pair,
     decompose_blocks,
-    shorten,
 )
 from .surgery import SurgeryDiagram, compile_diagram
 

@@ -16,22 +16,21 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .decorations import (
     DecoratedPathPair,
+    breaking_index,
     classify_consistency,
-    compatibility_orbit,
     count_m,
     count_n,
     count_totally_2_inconsistent,
     decoration_string,
-    describes_tight,
-    enumerate_decorations,
-    negate,
+    orbit_pairs,
 )
-from .farey import audit, dot, farey_sum
+from .farey import Slope, audit, dot, farey_sum
 from .invariants import half_lutz_d3, parity_ok, rotation_data
-from .paths import block_far_slopes, build_pair, decompose_blocks
+from .paths import block_far_slopes, build_pair
 from .surgery import knot_surgery_context
 
 UNBOUNDED = None
@@ -148,12 +147,24 @@ def wing_extent(d: DecoratedPathPair) -> int:
     return fars[cc.i - 1]
 
 
-def _merge_offset(pair, j: int) -> int:
+class _Ladder(NamedTuple):
+    """The truncated block ladder of one class: q/p, and s_k, n_k by block k."""
+
+    slope: Slope
+    s: dict[int, Slope]
+    n: dict[int, int]
+
+
+def _ladder(pair) -> _Ladder:
+    fars = block_far_slopes(pair)
+    return _Ladder(pair.slope, {k: s for k, s, _ in fars}, {k: n for k, _, n in fars})
+
+
+def _merge_offset(ladder: _Ladder, j: int) -> int:
     """2*n'_j with n'_j = |(s_j (+) s_{j-1}) . q/p|: the rot distance between
     the peaks of members j+1 and j of one compatibility chain."""
-    fars = {k: s for k, s, _ in block_far_slopes(pair)}
-    s_new = farey_sum(fars[j], fars[j - 1])
-    return 2 * abs(dot(s_new, pair.slope))
+    s_new = farey_sum(ladder.s[j], ladder.s[j - 1])
+    return 2 * abs(dot(s_new, ladder.slope))
 
 
 def _uniform_side_signs(d: DecoratedPathPair):
@@ -183,48 +194,32 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     pq = p * q
     sgn = 1 if pq > 0 else -1
     bound = abs(pq) - p - abs(q)
-
-    # group the non-tight classes into compatibility orbits, mirrors paired
-    orbit_of: dict[tuple, list[DecoratedPathPair]] = {}
-    key_of: dict[tuple, tuple] = {}
-    for d in enumerate_decorations(p, q):
-        if describes_tight(d) or d.plus_counts in key_of:
-            continue
-        orbit = compatibility_orbit(d)
-        key = orbit[0].plus_counts
-        for m in orbit:
-            key_of[m.plus_counts] = key
-        orbit_of[key] = orbit
-    orbit_pairs = []
-    seen = set()
-    for key, orbit in orbit_of.items():
-        if key in seen:
-            continue
-        mirror_key = key_of[negate(orbit[0]).plus_counts]
-        seen.update({key, mirror_key})
-        orbit_pairs.append((orbit, orbit_of[mirror_key]))
+    ctx = knot_surgery_context(p, q)
+    ladder = _ladder(pair)
+    pairs = orbit_pairs(p, q)
 
     structures: list[Structure] = []
     transverse: list[TransverseEntry] = []
 
-    for orbit, mirror in orbit_pairs:
+    for orbit, mirror in pairs:
         key = orbit[0]
         cc_key = classify_consistency(key)
         audit(cc_key.kind == "inconsistent" and cc_key.i == 2, "orbits start 2-inconsistent")
-        ctx = knot_surgery_context(p, q)
         d3_value = ctx.d3(key.signed_counts)
         for m in orbit + mirror:
             audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
         orbit_strings = tuple(decoration_string(m) for m in orbit + mirror)
-        members = [m for m in orbit if classify_consistency(m).kind == "inconsistent"]
-        tops = [m for m in orbit if classify_consistency(m).kind == "totally_consistent"]
-        abs_r = {classify_consistency(m).i: abs(rotation_data(m).R) for m in members}
+        # member t (from 0) of the climb is (t+2)-inconsistent; a last
+        # member without a breaking index is the pq > 0 totally consistent top
+        top = orbit[-1] if breaking_index(orbit[-1]) is None else None
+        members = orbit[:-1] if top is not None else orbit
+        abs_r = {j: abs(rotation_data(m).R) for j, m in enumerate(members, start=2)}
         totally2 = cc_key.totally_2_inconsistent
 
-        if tops:
+        if top is not None:
             audit(pq > 0, "only pq > 0 orbits have a totally consistent top")
             structures.append(
-                _exceptional_positive(pair, d3_value, orbit_strings, members, tops[0])
+                _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top)
             )
             continue
 
@@ -244,7 +239,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             audit(crossing == bound, "the exceptional X crosses at the Bennequin bound")
 
         st, tr = _generic_structure(
-            pair, d3_value, orbit_strings, members, abs_r, crossing,
+            pair, ladder, d3_value, orbit_strings, abs_r, crossing,
             totally2, exceptional_neg, special_pos, max_torsion2,
         )
         structures.append(st)
@@ -278,13 +273,13 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
 
     n_count = count_n(p, q)
     t2_count = count_totally_2_inconsistent(p, q)
-    audit(len(orbit_pairs) == n_count, "orbit pairs must number n(p,q)")
+    audit(len(pairs) == n_count, "orbit pairs must number n(p,q)")
     audit(len(final) == n_count + t2_count // 2, "structures must number n + totally2/2")
     counts = MappingProxyType({"m": count_m(p, q), "n": n_count, "totally2": t2_count})
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
-def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Structure:
+def _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top) -> Structure:
     p, q, pq = pair.p, pair.q, pair.p * pair.q
     audit(d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1")
     vertex = pq - p - q + 2
@@ -296,12 +291,11 @@ def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Struct
     abs_r2 = abs(rotation_data(members[0]).R)
     audit(abs_r2 == p + q - 2, "V corners sit at rot = -/+(p+q-2)")
     wing_data = []
-    peaks = [(classify_consistency(m).i, m) for m in members[1:]]
-    peaks.append((len(decompose_blocks(pair).blocks) + 1, top))
     prev_abs = abs_r2
-    for j, member in peaks:
+    # the top follows the last member, which breaks at the last block
+    for j, member in enumerate(members[1:] + [top], start=3):
         r = abs(rotation_data(member).R)
-        offset = _merge_offset(pair, j - 1)
+        offset = _merge_offset(ladder, j - 1)
         audit(prev_abs - r == offset, "diamond peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         for sign, tag in ((+1, "+"), (-1, "-")):
@@ -310,7 +304,7 @@ def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Struct
                        "stays_above_V", "stays_above_V", merge)
             )
         # the all-consistent diamond allows p - 1 doomed stabs: (p+q-|R|)/2 = n_last = p
-        extent = wing_extent(member) if member is not top else (p + q - r) // 2
+        extent = ladder.n[j - 1] if member is not top else (p + q - r) // 2
         wing_data.append((j, r, extent, offset))
         prev_abs = r
     notes = (
@@ -324,7 +318,7 @@ def _exceptional_positive(pair, d3_value, orbit_strings, members, top) -> Struct
 
 
 def _generic_structure(
-    pair, d3_value, orbit_strings, members, abs_r, crossing,
+    pair, ladder, d3_value, orbit_strings, abs_r, crossing,
     totally2, exceptional_neg, special_pos, max_torsion2,
 ):
     p, q, pq = pair.p, pair.q, pair.p * pair.q
@@ -338,10 +332,9 @@ def _generic_structure(
 
     wing_data = []
     prev_abs = abs_r[2]
-    for m in members[1:]:
-        j = classify_consistency(m).i
+    for j in range(3, len(abs_r) + 2):
         r = abs_r[j]
-        offset = _merge_offset(pair, j - 1)
+        offset = _merge_offset(ladder, j - 1)
         audit(abs(r - prev_abs) == offset, "wing peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         inner_plus = "x+" if j == 3 else f"w{j-1}+"
@@ -354,15 +347,14 @@ def _generic_structure(
             _leg(f"w{j}-", "wing_peak", -1, pq - sgn * r, 0, tb_max=pq,
                  stab=(f"becomes:{inner_minus}", "stays"), merge=merge)
         )
-        wing_data.append((j, r, wing_extent(m), offset))
+        wing_data.append((j, r, ladder.n[j - 1], offset))
         prev_abs = r
 
     if wing_data:
         # audit note: the closed-form peak rotation -/+(|R| - 2(n_k - 1))
         # does not always reproduce the merge-consistent direct values
-        fars = {k: n for k, _, n in block_far_slopes(pair)}
         for j, r, _, _ in wing_data:
-            shortcut = abs(abs_r[2] - 2 * (fars[j - 1] - 1))
+            shortcut = abs(abs_r[2] - 2 * (ladder.n[j - 1] - 1))
             if shortcut != r:
                 notes.append(
                     f"wing {j}: direct rotation magnitude {r}; the closed-form "

@@ -230,12 +230,11 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
     if b == len(blocks):
         if d.q < 0 or blocks[-1].side != "P2":
             return None
-        top = DecoratedPathPair(d.p, d.q, tuple(0 if tau > 0 else sz for sz in sizes))
-        return top if shuffle_down_from_consistent(top) == d else None
+        return DecoratedPathPair(d.p, d.q, tuple(0 if tau > 0 else sz for sz in sizes))
     if not blocks[b].in_truncation:
         return None
-    # the candidate parent has blocks 1..b uniformly -tau and one fewer
-    # (-tau)-edge in block b+1
+    # the parent has blocks 1..b uniformly -tau and one fewer (-tau)-edge in
+    # block b+1; shuffle_down maps it back to d
     new = list(d.plus_counts)
     for j in range(b):
         new[j] = 0 if tau > 0 else sizes[j]
@@ -243,32 +242,55 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
     if not 0 <= new[b] <= sizes[b]:
         return None
     parent = DecoratedPathPair(d.p, d.q, tuple(new))
-    if shuffle_down(parent) != d:
-        return None
+    audit(_extension_ok(parent, b + 1), "shuffle invalidated by block geometry")
+    audit(breaking_index(parent) == b + 1, "shuffle_up must raise the breaking index by 1")
     return parent
+
+
+def _climb(d: DecoratedPathPair) -> list[DecoratedPathPair]:
+    """d followed by every class above it in its compatibility orbit."""
+    chain = [d]
+    while (up := _shuffle_up(chain[-1])) is not None:
+        chain.append(up)
+    return chain
 
 
 def compatibility_orbit(d: DecoratedPathPair) -> list[DecoratedPathPair]:
     """All classes compatible with d: one k-inconsistent member per k, ordered
-    by k, with the pq > 0 totally consistent top (when present) last."""
-    if describes_tight(d):
-        return [d]
-    chain = [d]
+    by k, with the pq > 0 totally consistent top (when present) last.  A
+    tight class is its own orbit."""
+    below = []
     cur = d
-    while True:
-        down = shuffle_down(cur)
-        if down is None:
-            break
-        chain.insert(0, down)
-        cur = down
-    cur = d
-    while True:
-        up = _shuffle_up(cur)
-        if up is None:
-            break
-        chain.append(up)
-        cur = up
-    return chain
+    while (cur := shuffle_down(cur)) is not None:
+        below.append(cur)
+    return below[::-1] + _climb(d)
+
+
+def _lowest(orbit: list[DecoratedPathPair]) -> tuple[int, ...]:
+    return min(m.plus_counts for m in orbit)
+
+
+def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], list[DecoratedPathPair]]]:
+    """The compatibility orbits of the non-tight classes, paired with their
+    mirrors: n(p,q) pairs.
+
+    Every orbit starts at a non-tight 2-inconsistent class (block 1 uniform,
+    block 2 not uniform of the same sign), and negate maps these roots to
+    roots, so one pair grows from each root with block 1 all - and a + in
+    block 2.  Member t (from 0) is (t+2)-inconsistent; the last member is
+    the pq > 0 totally consistent top when it has no breaking index.  Within
+    a pair the orbit with the lexicographically lower member comes first,
+    and pairs are ordered by that member: the order in which a walk over
+    enumerate_decorations meets them.
+    """
+    # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
+    sizes = [b.edge_count for b in decompose_blocks(build_pair(p, q)).blocks]
+    pairs = []
+    for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
+        root = DecoratedPathPair(p, q, (0, *rest))
+        pairs.append(tuple(sorted((_climb(root), _climb(negate(root))), key=_lowest)))
+    pairs.sort(key=lambda pair: _lowest(pair[0]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .farey import (
     INFINITY,
     NEGATIVE,
     Slope,
+    audit,
     cf_expand,
     cf_step_increment,
     cf_value,
@@ -90,10 +91,6 @@ class Block:
 @dataclass(frozen=True)
 class BlockDecomposition:
     blocks: tuple[Block, ...]
-    leading_side: str  # side of the index-1 block
-
-    def on_side(self, side: str) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.side == side)
 
     @property
     def truncated(self) -> tuple[Block, ...]:
@@ -177,30 +174,29 @@ def decompose_blocks(pair: PathPair) -> BlockDecomposition:
     raw2_full = _split_blocks(pair.p2)
     n_trunc2 = len(_split_blocks(trunc))
     raw2, suffix = raw2_full[:n_trunc2], raw2_full[n_trunc2:]
-    if sum(len(v) - 1 for v, _ in raw2) != trunc.edges:
-        raise AssertionError("integer-run suffix merged into a truncated block")
+    audit(
+        sum(len(v) - 1 for v, _ in raw2) == trunc.edges,
+        "integer-run suffix merged into a truncated block",
+    )
 
     len1, len2 = len(raw1[0][0]) - 1, len(raw2[0][0]) - 1
+    audit(1 in (len1, len2), "neither leading block has length 1")
     if len2 == 1:
         first, second, first_side, second_side = raw2, raw1, "P2", "P1"
-    elif len1 == 1:
-        first, second, first_side, second_side = raw1, raw2, "P1", "P2"
     else:
-        raise AssertionError("neither leading block has length 1")
-    if abs(len(first) - len(second)) > 1:
-        raise AssertionError("truncated block counts differ by more than 1")
+        first, second, first_side, second_side = raw1, raw2, "P1", "P2"
+    audit(abs(len(first) - len(second)) <= 1, "truncated block counts differ by more than 1")
 
     blocks: list[Block] = []
     for k in range(len(first) + len(second)):
         source, side = (first, first_side) if k % 2 == 0 else (second, second_side)
         j = k // 2
-        if j >= len(source):
-            raise AssertionError("blocks do not interleave")
+        audit(j < len(source), "blocks do not interleave")
         verts, pivot = source[j]
         blocks.append(Block(k + 1, side, verts, pivot, True))
     for verts, pivot in suffix:
         blocks.append(Block(len(blocks) + 1, "P2", verts, pivot, False))
-    return BlockDecomposition(tuple(blocks), first_side)
+    return BlockDecomposition(tuple(blocks))
 
 
 def block_far_slopes(pair: PathPair) -> list[tuple[int, Slope, int]]:
@@ -211,55 +207,3 @@ def block_far_slopes(pair: PathPair) -> list[tuple[int, Slope, int]]:
         s = b.far_slope
         out.append((b.index, s, abs(dot(s, slope))))
     return out
-
-
-OVERTWISTED = "OVERTWISTED"
-
-
-def shorten(vertices, signs, anchor: int = 0):
-    """Shorten a signed Farey path to a minimal one, merging edge pairs.
-
-    A vertex whose neighbors span an edge can be removed when its two edges
-    carry the same sign (the merged edge keeps it).  If the only removable
-    vertices have opposite-signed edges, the decorated path is not tight:
-    returns OVERTWISTED.  Otherwise returns the minimal (vertices, signs).
-
-    Removable vertices are tried in order of distance from ``anchor`` (the
-    position of q/p in the concatenations this is used on, where the order
-    is in fact forced).
-    """
-    vertices = tuple(vertices)
-    signs = tuple(signs)
-    if len(vertices) != len(signs) + 1:
-        raise ValueError("need one sign per edge")
-
-    def removable(verts):
-        out = []
-        for i in range(1, len(verts) - 1):
-            if verts[i - 1] != verts[i + 1] and is_edge(verts[i - 1], verts[i + 1]):
-                out.append(i)
-        return out
-
-    seen: set[tuple] = set()
-
-    def search(verts, sgns, anch):
-        candidates = removable(verts)
-        if not candidates:
-            return verts, sgns
-        key = (verts, sgns)
-        if key in seen:
-            return None
-        seen.add(key)
-        candidates.sort(key=lambda i: (abs(i - anch), i))
-        for i in candidates:
-            if sgns[i - 1] != sgns[i]:
-                continue
-            new_verts = verts[:i] + verts[i + 1 :]
-            new_sgns = sgns[: i - 1] + (sgns[i - 1],) + sgns[i + 1 :]
-            got = search(new_verts, new_sgns, anch if i > anch else anch - 1)
-            if got is not None:
-                return got
-        return None
-
-    result = search(vertices, signs, anchor)
-    return OVERTWISTED if result is None else result

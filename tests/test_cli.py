@@ -178,3 +178,20 @@ def test_audits_survive_optimize():
     assert proc.stderr.decode().splitlines() == [
         "audit failed: diamond peaks must be merge-offset apart"
     ]
+
+
+def test_broken_decomposition_is_an_audit(capsys, monkeypatch):
+    # a P2 truncation cut short after one edge leaves the rest of P2 to merge
+    # into a truncated block; decompose_blocks reports it as an audit
+    import nonloose.paths as paths
+
+    monkeypatch.setattr(
+        paths, "p2_truncated", lambda pair: paths.FareyPath(pair.p2.vertices[:2])
+    )
+    paths.decompose_blocks.cache_clear()  # failed calls are not cached
+    code, out, err = run(capsys, "paths", "5", "8")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "audit failed: integer-run suffix merged into a truncated block"
+    ]

@@ -4,6 +4,7 @@ import itertools
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nonloose.decorations import (
     classify_consistency,
@@ -15,7 +16,9 @@ from nonloose.decorations import (
     describes_tight,
     enumerate_decorations,
     negate,
+    orbit_pairs,
     parse_decoration,
+    shuffle_down,
     tight_count_lens,
     tight_count_solid_torus_lower,
     tight_count_solid_torus_upper,
@@ -196,6 +199,62 @@ def test_orbit_partition():
             assert set(mirrored) == {
                 m.plus_counts for m in compatibility_orbit(negate(d))
             }
+
+
+def grouped_orbit_pairs(p, q):
+    """Oracle for orbit_pairs: walk every class, take the compatibility orbit
+    of each one not yet seen, and pair each orbit with its mirror's orbit."""
+    orbit_of, key_of = {}, {}
+    for d in enumerate_decorations(p, q):
+        if describes_tight(d) or d.plus_counts in key_of:
+            continue
+        orbit = compatibility_orbit(d)
+        key = orbit[0].plus_counts
+        for m in orbit:
+            key_of[m.plus_counts] = key
+        orbit_of[key] = orbit
+    pairs, seen = [], set()
+    for key, orbit in orbit_of.items():
+        if key in seen:
+            continue
+        mirror_key = key_of[negate(orbit[0]).plus_counts]
+        seen.update({key, mirror_key})
+        pairs.append((orbit, orbit_of[mirror_key]))
+    return pairs
+
+
+def test_orbit_pairs_match_grouping_on_sweep():
+    # same pairs, same orientation, same member order on p <= 39, |q| <= 40
+    for p, q in knot_range(39, 40):
+        assert orbit_pairs(p, q) == grouped_orbit_pairs(p, q), (p, q)
+
+
+@st.composite
+def _class_outside_sweep(draw):
+    aq = draw(st.integers(41, 400))
+    p = draw(st.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
+    q = draw(st.sampled_from((aq, -aq)))
+    assume(count_m(p, q) <= 2000)
+    return p, q
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_class_outside_sweep())
+def test_orbit_pairs_match_grouping_outside_sweep(pq):
+    assert orbit_pairs(*pq) == grouped_orbit_pairs(*pq)
+
+
+def test_climb_steps_shuffle_back_down():
+    # the round trip the climb no longer runs: every step of every orbit
+    # comes back under shuffle_down (the pq > 0 top included)
+    steps = 0
+    for p, q in knot_range(39, 40):
+        for pair in orbit_pairs(p, q):
+            for orbit in pair:
+                for child, parent in zip(orbit, orbit[1:]):
+                    assert shuffle_down(parent) == child, (p, q, child)
+                    steps += 1
+    assert steps == 9942
 
 
 def test_block_record_matches_edge_expansion():

@@ -7,12 +7,10 @@ import pytest
 
 from nonloose.farey import dot, is_edge, parse_slope
 from nonloose.paths import (
-    OVERTWISTED,
     block_far_slopes,
     build_pair,
     decompose_blocks,
     p2_truncated,
-    shorten,
 )
 
 
@@ -149,6 +147,60 @@ def test_far_slopes_increase():
                 tie = p == 2 and q < 0
                 rest = ns if not tie else ns[1:]
                 assert all(a < b for a, b in zip(rest, rest[1:]))
+
+
+# Shortening a signed Farey path to a minimal one: the direct definition of
+# tightness on a path, checked here against an exhaustive search.
+OVERTWISTED = "OVERTWISTED"
+
+
+def shorten(vertices, signs, anchor: int = 0):
+    """Shorten a signed Farey path to a minimal one, merging edge pairs.
+
+    A vertex whose neighbors span an edge can be removed when its two edges
+    carry the same sign (the merged edge keeps it).  If the only removable
+    vertices have opposite-signed edges, the decorated path is not tight:
+    returns OVERTWISTED.  Otherwise returns the minimal (vertices, signs).
+
+    Removable vertices are tried in order of distance from ``anchor`` (the
+    position of q/p in the concatenations this is used on, where the order
+    is in fact forced).
+    """
+    vertices = tuple(vertices)
+    signs = tuple(signs)
+    if len(vertices) != len(signs) + 1:
+        raise ValueError("need one sign per edge")
+
+    def removable(verts):
+        out = []
+        for i in range(1, len(verts) - 1):
+            if verts[i - 1] != verts[i + 1] and is_edge(verts[i - 1], verts[i + 1]):
+                out.append(i)
+        return out
+
+    seen: set[tuple] = set()
+
+    def search(verts, sgns, anch):
+        candidates = removable(verts)
+        if not candidates:
+            return verts, sgns
+        key = (verts, sgns)
+        if key in seen:
+            return None
+        seen.add(key)
+        candidates.sort(key=lambda i: (abs(i - anch), i))
+        for i in candidates:
+            if sgns[i - 1] != sgns[i]:
+                continue
+            new_verts = verts[:i] + verts[i + 1 :]
+            new_sgns = sgns[: i - 1] + (sgns[i - 1],) + sgns[i + 1 :]
+            got = search(new_verts, new_sgns, anch if i > anch else anch - 1)
+            if got is not None:
+                return got
+        return None
+
+    result = search(vertices, signs, anchor)
+    return OVERTWISTED if result is None else result
 
 
 def brute_force_shorten(vertices, signs):
