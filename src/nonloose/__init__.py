@@ -48,12 +48,13 @@ from .invariants import (
     self_linking,
 )
 from .paths import (
-    BlockDecomposition,
     FareyPath,
+    Knot,
     PathPair,
     block_far_slopes,
     build_pair,
     decompose_blocks,
+    knot,
 )
 from .surgery import SurgeryDiagram, compile_diagram
 

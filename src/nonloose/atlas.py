@@ -30,7 +30,7 @@ from .decorations import (
 )
 from .farey import Slope, audit, dot, farey_sum
 from .invariants import half_lutz_d3, parity_ok, rotation_data
-from .paths import block_far_slopes, build_pair
+from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
 
 UNBOUNDED = None
@@ -143,7 +143,7 @@ def wing_extent(d: DecoratedPathPair) -> int:
     cc = classify_consistency(d)
     if cc.kind != "inconsistent":
         raise ValueError("wing extent is defined for k-inconsistent members")
-    fars = {k: n for k, _, n in block_far_slopes(d.pair)}
+    fars = {k: n for k, _, n in block_far_slopes(d.knot.pair)}
     return fars[cc.i - 1]
 
 
@@ -171,7 +171,7 @@ def _uniform_side_signs(d: DecoratedPathPair):
     """(sign of P1, sign of P2) when every block is uniform and each side
     carries a single sign (suffix included); None otherwise."""
     sides = {}
-    for b, s in zip(d.blocks, d.block_signs):
+    for b, s in zip(d.knot.blocks, d.block_signs):
         if s == 0 or sides.setdefault(b.side, s) != s:
             return None
     return sides["P1"], sides["P2"]
@@ -184,13 +184,13 @@ def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
     """
     if max_torsion2 < 0:
         raise ValueError("max_torsion2 must be non-negative")
-    build_pair(p, q)  # validates the knot class
+    knot(p, q)  # validates the knot class
     return _classify_cached(p, q, max_torsion2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
-    pair = build_pair(p, q)
+    pair = knot(p, q).pair
     pq = p * q
     sgn = 1 if pq > 0 else -1
     bound = abs(pq) - p - abs(q)
@@ -527,6 +527,8 @@ def mountain_range(atlas: Atlas, d3_value: int, tb_window=None) -> MountainRange
     if tb_window is None:
         tb_window = default_window(atlas, d3_value)
     tb_lo, tb_hi = tb_window
+    if tb_lo > tb_hi:
+        raise ValueError(f"empty tb window: tb min {tb_lo} > tb max {tb_hi}")
     rots = [
         slope * tb + c
         for st in structs

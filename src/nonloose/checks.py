@@ -33,7 +33,7 @@ from .farey import (
     make_slope,
 )
 from .invariants import parity_ok, rotation_data
-from .paths import block_far_slopes, build_pair, decompose_blocks
+from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
 
 
@@ -84,7 +84,8 @@ def check_farey_neighbors(nmax: int = 60):
 def check_paths(pmax: int = 9, qmax: int = 60):
     bad = []
     for p, q in knot_classes(pmax, qmax):
-        pair = build_pair(p, q)
+        k = knot(p, q)
+        pair = k.pair
         for path in (pair.p1, pair.p2):
             verts = path.vertices
             for x, y in zip(verts, verts[1:]):
@@ -93,11 +94,10 @@ def check_paths(pmax: int = 9, qmax: int = 60):
             for i in range(1, len(verts) - 1):
                 if abs(dot(verts[i - 1], verts[i + 1])) == 1:
                     bad.append(f"({p},{q}) not minimal at {verts[i]}")
-        blocks = decompose_blocks(pair)
-        lead = [b.edge_count for b in blocks.blocks[:2]]
+        lead = k.sizes[:2]
         both_one = lead[0] == 1 and len(lead) > 1 and lead[1] == 1
         is_tie = q < 0 and p == 2 and abs(q) % 2 == 1
-        if blocks.blocks[0].edge_count != 1:
+        if lead[0] != 1:
             bad.append(f"({p},{q}) leading block length {lead[0]}")
         if both_one != is_tie:
             bad.append(f"({p},{q}) double-length-1 leading blocks vs -(2n+1)/2 rule")
@@ -164,17 +164,14 @@ def check_structural(pmax: int = 9, qmax: int = 40):
     for p, q in knot_classes(pmax, qmax):
         pq = p * q
         ctx = knot_surgery_context(p, q)
-        blocks = decompose_blocks(build_pair(p, q)).blocks
-        sizes = [b.edge_count for b in blocks]
-        all_plus = DecoratedPathPair(p, q, tuple(sizes))
-        all_minus = DecoratedPathPair(p, q, tuple(0 for _ in sizes))
+        k = knot(p, q)
+        all_plus = DecoratedPathPair(p, q, k.sizes)
+        all_minus = DecoratedPathPair(p, q, tuple(0 for _ in k.sizes))
         expect = 1 if pq > 0 else 0
         for d in (all_plus, all_minus):
             if ctx.d3(d.signed_counts) != expect:
                 bad.append(f"({p},{q}) all-same-signs d3")
-        split = tuple(
-            (b.edge_count if b.side == "P1" else 0) for b in blocks
-        )
+        split = tuple(e if b.side == "P1" else 0 for e, b in zip(k.sizes, k.blocks))
         d_split = DecoratedPathPair(p, q, split)
         expect_split = -pq + p + q if pq > 0 else abs(pq) - p - abs(q) + 1
         if ctx.d3(d_split.signed_counts) != expect_split:
@@ -268,7 +265,7 @@ def check_wing_extents(pmax: int = 7, qmax: int = 16):
             cc = classify_consistency(d)
             if cc.kind != "inconsistent":
                 continue
-            fars = {k: n for k, _, n in block_far_slopes(d.pair)}
+            fars = {k: n for k, _, n in block_far_slopes(d.knot.pair)}
             if wing_extent(d) != fars[cc.i - 1]:
                 bad.append(f"({p},{q}) {d}")
     return ("wing extents", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")

@@ -11,46 +11,50 @@ only its signed block counts x_b = 2 c_b - e_b, e_b the block's edge count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from math import ceil, gcd, prod
 
 from .farey import Slope, audit, make_slope, negative_cf, raw_diff
-from .paths import Block, build_pair, decompose_blocks
-
-
-@lru_cache(maxsize=None)
-def _blocks_of(p: int, q: int) -> tuple[Block, ...]:
-    return decompose_blocks(build_pair(p, q)).blocks
+from .paths import Knot, knot
 
 
 @dataclass(frozen=True)
 class DecoratedPathPair:
+    """One decoration class of (p,q): a plus count c_b in [0, e_b] per block.
+    Built once with it: `knot`, the record of (p,q); `signed_counts`, x_b
+    (+ signs minus - signs); `block_signs`, +1 / -1 per uniform block and 0
+    per mixed one; `breaking`, the breaking index; `tight`, see
+    describes_tight."""
+
     p: int
     q: int
     plus_counts: tuple[int, ...]
+    knot: Knot = field(init=False, compare=False, repr=False)
+    signed_counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    block_signs: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    breaking: int | None = field(init=False, compare=False, repr=False)
+    tight: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def pair(self):
-        return build_pair(self.p, self.q)
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return _blocks_of(self.p, self.q)
-
-    @cached_property
-    def signed_counts(self) -> tuple[int, ...]:
-        """x_b = 2 c_b - e_b per block: + signs minus - signs."""
-        return tuple(2 * c - b.edge_count for c, b in zip(self.plus_counts, self.blocks))
-
-    @cached_property
-    def block_signs(self) -> tuple[int, ...]:
-        """+1 / -1 per uniformly signed block, 0 per mixed one."""
-        return tuple(
-            1 if c == b.edge_count else -1 if c == 0 else 0
-            for c, b in zip(self.plus_counts, self.blocks)
-        )
+    def __post_init__(self):
+        k = knot(self.p, self.q)
+        if len(self.plus_counts) != len(k.sizes):
+            raise ValueError(f"({self.p},{self.q}) has {len(k.sizes)} blocks, "
+                             f"got {len(self.plus_counts)} plus counts")
+        x, signs, breaking = [], [], None
+        for i, (c, e) in enumerate(zip(self.plus_counts, k.sizes)):
+            if not 0 <= c <= e:
+                raise ValueError(f"({self.p},{self.q}) block {i + 1}: plus count {c} outside [0, {e}]")
+            s = 1 if c == e else -1 if c == 0 else 0
+            if breaking is None and (s == 0 or i and s != signs[0]):
+                breaking = i + 1
+            x.append(2 * c - e)
+            signs.append(s)
+        # pq < 0 and the truncated blocks, which come first, uniformly one sign
+        tight = self.q < 0 and (breaking is None or breaking > len(k.truncated))
+        # the record is frozen, so its derived fields are written past __setattr__
+        vars(self).update(knot=k, signed_counts=tuple(x), block_signs=tuple(signs),
+                          breaking=breaking, tight=tight)
 
     def __str__(self) -> str:
         return decoration_string(self)
@@ -59,8 +63,8 @@ class DecoratedPathPair:
 def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
     """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
     sides = {"P1": "", "P2": ""}
-    for c, b in zip(d.plus_counts, d.blocks):
-        sides[b.side] += "+" * c + "-" * (b.edge_count - c)
+    for c, e, b in zip(d.plus_counts, d.knot.sizes, d.knot.blocks):
+        sides[b.side] += "+" * c + "-" * (e - c)
     return sides["P1"], sides["P2"]
 
 
@@ -76,7 +80,7 @@ def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
     )
     if set(parts) != {"P1", "P2"}:
         raise ValueError(f"decoration must look like 'P1:+-|P2:++-', got {text!r}")
-    blocks = decompose_blocks(build_pair(p, q)).blocks
+    blocks = knot(p, q).blocks
     counts = [0] * len(blocks)
     for side in ("P1", "P2"):
         signs = parts[side]
@@ -104,11 +108,9 @@ def negate(d: DecoratedPathPair) -> DecoratedPathPair:
 
 def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
     """All decoration classes, lexicographic over (block index, plus count)."""
-    blocks = decompose_blocks(build_pair(p, q)).blocks
-    sizes = [b.edge_count for b in blocks]
     return [
         DecoratedPathPair(p, q, counts)
-        for counts in itertools.product(*(range(e + 1) for e in sizes))
+        for counts in itertools.product(*(range(e + 1) for e in knot(p, q).sizes))
     ]
 
 
@@ -125,29 +127,21 @@ class ConsistencyClass:
 
 def breaking_index(d: DecoratedPathPair) -> int | None:
     """Smallest i such that blocks 1..i are not uniformly one sign."""
-    signs = d.block_signs
-    for i, s in enumerate(signs):
-        if s == 0 or s != signs[0]:
-            return i + 1
-    return None
+    return d.breaking
 
 
 def classify_consistency(d: DecoratedPathPair) -> ConsistencyClass:
     signs = d.block_signs
     t2i = len(signs) >= 2 and signs[0] != 0 and signs[1] == -signs[0]
-    b = breaking_index(d)
-    if b is None:
+    if d.breaking is None:
         return ConsistencyClass("totally_consistent", None, False)
-    return ConsistencyClass("inconsistent", b, t2i)
+    return ConsistencyClass("inconsistent", d.breaking, t2i)
 
 
 def describes_tight(d: DecoratedPathPair) -> bool:
     """pq < 0 decorations whose truncated part is uniformly one sign describe
     the standard tight structure, whatever the integer-run suffix does."""
-    if d.q > 0:
-        return False
-    signs = [s for s, b in zip(d.block_signs, d.blocks) if b.in_truncation]
-    return signs[0] != 0 and signs.count(signs[0]) == len(signs)
+    return d.tight
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +151,7 @@ def describes_tight(d: DecoratedPathPair) -> bool:
 def _extension_ok(d: DecoratedPathPair, b: int) -> bool:
     # The edge from the second-to-last vertex of block b-1 to the first
     # vertex of block b must extend block b's continued fraction block.
-    blocks = d.blocks
+    blocks = d.knot.blocks
     prev, cur = blocks[b - 2], blocks[b - 1]
     v_first = cur.vertices[0]
     v_second_last = prev.vertices[-2]
@@ -170,18 +164,18 @@ def shuffle_down(d: DecoratedPathPair) -> DecoratedPathPair | None:
     Returns None when no such shuffle exists (2-inconsistent input, tight
     input, or the inconsistency sits in the pq < 0 integer-run suffix).
     """
-    if describes_tight(d):
+    if d.tight:
         return None
-    b = breaking_index(d)
+    b = d.breaking
     if b is None:
         # pq > 0 totally consistent: handled by shuffle_down_from_consistent.
         return shuffle_down_from_consistent(d) if d.q > 0 else None
-    if b < 3 or not d.blocks[b - 1].in_truncation:
+    if b < 3 or b > len(d.knot.truncated):
         return None
     audit(_extension_ok(d, b), "shuffle invalidated by block geometry")
     sigma = d.block_signs[0]
     audit(sigma != 0, "an i-inconsistent class, i >= 3, starts with a uniform block")
-    sizes = [blk.edge_count for blk in d.blocks]
+    sizes = d.knot.sizes
     new = list(d.plus_counts)
     for j in range(b - 2):
         new[j] = 0 if sigma > 0 else sizes[j]
@@ -189,36 +183,34 @@ def shuffle_down(d: DecoratedPathPair) -> DecoratedPathPair | None:
     new[b - 1] += 1 if sigma > 0 else -1
     audit(0 <= new[b - 1] <= sizes[b - 1], "shuffle overflows block b")
     out = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(breaking_index(out) == b - 1, "shuffle_down must lower the breaking index by 1")
+    audit(out.breaking == b - 1, "shuffle_down must lower the breaking index by 1")
     return out
 
 
 def shuffle_down_from_consistent(d: DecoratedPathPair) -> DecoratedPathPair:
     """pq > 0 only: the maximally inconsistent re-signing of the all-one-sign
     class (split the final solid-torus prong off P2's last edge)."""
-    if d.q < 0 or breaking_index(d) is not None:
+    if d.q < 0 or d.breaking is not None:
         raise ValueError("needs the pq > 0 totally consistent class")
-    blocks = d.blocks
-    audit(blocks[-1].side == "P2", "last block should sit on P2 for pq > 0")
+    audit(d.knot.blocks[-1].side == "P2", "last block should sit on P2 for pq > 0")
     sigma = d.block_signs[0]
-    sizes = [blk.edge_count for blk in blocks]
+    sizes = d.knot.sizes
     new = [0 if sigma > 0 else sz for sz in sizes]
     new[-1] = 1 if sigma > 0 else sizes[-1] - 1
     out = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(breaking_index(out) == len(blocks), "the re-signing must break at the last block")
+    audit(out.breaking == len(sizes), "the re-signing must break at the last block")
     return out
 
 
 def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
     """Inverse of shuffle_down, or the totally consistent top when the input
     is the maximally inconsistent pq > 0 re-signing; None at the orbit top."""
-    if describes_tight(d):
+    if d.tight:
         return None
-    b = breaking_index(d)
+    b = d.breaking
     if b is None:
         return None
-    blocks = d.blocks
-    sizes = [blk.edge_count for blk in blocks]
+    blocks, sizes = d.knot.blocks, d.knot.sizes
     tau = d.block_signs[0]
     if tau == 0:
         return None
@@ -243,7 +235,7 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
         return None
     parent = DecoratedPathPair(d.p, d.q, tuple(new))
     audit(_extension_ok(parent, b + 1), "shuffle invalidated by block geometry")
-    audit(breaking_index(parent) == b + 1, "shuffle_up must raise the breaking index by 1")
+    audit(parent.breaking == b + 1, "shuffle_up must raise the breaking index by 1")
     return parent
 
 
@@ -284,7 +276,7 @@ def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], list[Deco
     enumerate_decorations meets them.
     """
     # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
-    sizes = [b.edge_count for b in decompose_blocks(build_pair(p, q)).blocks]
+    sizes = knot(p, q).sizes
     pairs = []
     for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
         root = DecoratedPathPair(p, q, (0, *rest))

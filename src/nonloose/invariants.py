@@ -31,7 +31,7 @@ def rotation_data(d: DecoratedPathPair) -> RotationData:
     """
     r_m = 0
     r_n = 0
-    for b, x in zip(d.blocks, d.signed_counts):
+    for b, x in zip(d.knot.blocks, d.signed_counts):
         dn, dd = raw_diff(b.vertices[1], b.vertices[0])
         if b.side == "P1":
             r_m += x * (-dd)

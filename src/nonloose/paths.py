@@ -10,7 +10,7 @@ distance from q/p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .farey import (
     INFINITY,
@@ -89,12 +89,21 @@ class Block:
 
 
 @dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
+class Knot:
+    """Everything the decoration classes of (p,q) share: the path pair, its
+    blocks in index order, their edge counts e_b (`sizes`) and the truncated
+    blocks, which come first.  The surgery context is built on first read."""
 
-    @property
-    def truncated(self) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.in_truncation)
+    pair: PathPair
+    blocks: tuple[Block, ...]
+    sizes: tuple[int, ...]
+    truncated: tuple[Block, ...]
+
+    @cached_property
+    def context(self):
+        from .surgery import _Context
+
+        return _Context(self)
 
 
 def _validate_knot(p: int, q: int) -> None:
@@ -106,7 +115,6 @@ def _validate_knot(p: int, q: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def build_pair(p: int, q: int) -> PathPair:
     """Construct the canonical pair of minimal paths representing q/p."""
     _validate_knot(p, q)
@@ -161,9 +169,9 @@ def _split_blocks(path: FareyPath) -> list[tuple[tuple[Slope, ...], Slope]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def decompose_blocks(pair: PathPair) -> BlockDecomposition:
-    """Interleaved continued-fraction-block decomposition of (P1, P2).
+def decompose_blocks(pair: PathPair) -> Knot:
+    """Interleaved continued-fraction-block decomposition of (P1, P2), as
+    the pair's Knot record; `knot(p, q)` is the cached way to get one.
 
     The length-1 leading block gets index 1; for the -(2n+1)/2 tie both
     leading blocks have length 1 and P2 goes first (fixed convention).
@@ -194,16 +202,23 @@ def decompose_blocks(pair: PathPair) -> BlockDecomposition:
         audit(j < len(source), "blocks do not interleave")
         verts, pivot = source[j]
         blocks.append(Block(k + 1, side, verts, pivot, True))
+    truncated = tuple(blocks)
     for verts, pivot in suffix:
         blocks.append(Block(len(blocks) + 1, "P2", verts, pivot, False))
-    return BlockDecomposition(tuple(blocks))
+    return Knot(pair, tuple(blocks), tuple(len(b.vertices) - 1 for b in blocks), truncated)
+
+
+@lru_cache(maxsize=1024)
+def knot(p: int, q: int) -> Knot:
+    """The cached record of (p,q); raises ValueError for an inadmissible class."""
+    return decompose_blocks(build_pair(p, q))
 
 
 def block_far_slopes(pair: PathPair) -> list[tuple[int, Slope, int]]:
     """(k, s_k, n_k) per truncated block: far slope and |s_k . q/p|."""
     slope = pair.slope
     out = []
-    for b in decompose_blocks(pair).truncated:
+    for b in knot(pair.p, pair.q).truncated:
         s = b.far_slope
         out.append((b.index, s, abs(dot(s, slope))))
     return out

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 from .decorations import DecoratedPathPair
 from .farey import audit, clockwise_neighbor, make_slope, negative_cf
-from .paths import build_pair, decompose_blocks
+from .paths import Knot, knot
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class _Chain:
         return len(self.digits)
 
 
-@lru_cache(maxsize=None)
 def knot_surgery_context(p: int, q: int) -> "_Context":
-    return _Context(p, q)
+    """The surgery context of (p,q), built once per cached Knot record."""
+    return knot(p, q).context
 
 
 class _Context:
@@ -104,9 +104,9 @@ class _Context:
     sign det N = (-1)^n.
     """
 
-    def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
-        blocks = decompose_blocks(build_pair(p, q)).blocks
+    def __init__(self, k: Knot):
+        p, q = self.p, self.q = k.pair.p, k.pair.q
+        blocks = k.blocks
         neighbor = clockwise_neighbor(make_slope(q, p))
         self.chain_p = _Chain(Fraction(-p, neighbor.den))
         self.chain_q = _Chain(Fraction(-q, q - neighbor.num))
@@ -121,7 +121,7 @@ class _Context:
             stabilized = [i for i, s in enumerate(chain.stabs) if s > 0]
             side_blocks = [b for b in blocks if b.side == side]
             budgets = [chain.stabs[i] for i in stabilized]
-            sizes = [b.edge_count for b in side_blocks]
+            sizes = [k.sizes[b.index - 1] for b in side_blocks]
             audit(budgets == sizes, f"chain/block mismatch ({p},{q}) {side}: {budgets} vs {sizes}")
             for i, b in zip(stabilized, side_blocks):
                 slots[b.index - 1] = (base + len(chain) - 1 - i, flip)

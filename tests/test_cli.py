@@ -127,6 +127,16 @@ def test_mountain_window_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_mountain_inverted_window_refused(capsys):
+    for fmt in ("ascii", "svg", "json"):
+        code, out, err = run(
+            capsys, "mountain", "5", "8", "--d3", "1", "--tb-min", "10",
+            "--tb-max", "0", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: empty tb window: tb min 10 > tb max 0"]
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--pmax", "3", "--qmax", "8")
     assert code == 0
@@ -188,7 +198,6 @@ def test_broken_decomposition_is_an_audit(capsys, monkeypatch):
     monkeypatch.setattr(
         paths, "p2_truncated", lambda pair: paths.FareyPath(pair.p2.vertices[:2])
     )
-    paths.decompose_blocks.cache_clear()  # failed calls are not cached
     code, out, err = run(capsys, "paths", "5", "8")
     assert code == 2
     assert out == ""

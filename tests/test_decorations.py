@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nonloose.decorations import (
+    DecoratedPathPair,
+    breaking_index,
     classify_consistency,
     compatibility_orbit,
     count_m,
@@ -258,14 +260,17 @@ def test_climb_steps_shuffle_back_down():
 
 
 def test_block_record_matches_edge_expansion():
-    # x_b and the block signs against the per-edge signs of each block, read
-    # off the decoration string, on the p <= 39, |q| <= 40 sweep
+    # x_b, the block signs, the breaking index and tightness against the
+    # per-edge signs of each block, read off the decoration string, on the
+    # p <= 39, |q| <= 40 sweep
     for p, q in knot_range(39, 40):
         blocks = decompose_blocks(build_pair(p, q)).blocks
         for d in enumerate_decorations(p, q):
             sides = dict(chunk.split(":") for chunk in decoration_string(d).split("|"))
             offsets = {"P1": 0, "P2": 0}
             xs, signs = [], []
+            # edge signs seen in blocks 1..b, and in the truncated blocks
+            seen, truncated, breaking = set(), set(), None
             for b in blocks:
                 start = offsets[b.side]
                 chunk = sides[b.side][start : start + b.edge_count]
@@ -273,8 +278,26 @@ def test_block_record_matches_edge_expansion():
                 offsets[b.side] += b.edge_count
                 xs.append(sum(edges))
                 signs.append(edges[0] if len(set(edges)) == 1 else 0)
+                seen.update(edges)
+                if breaking is None and len(seen) > 1:
+                    breaking = b.index
+                if b.in_truncation:
+                    truncated.update(edges)
             assert d.signed_counts == tuple(xs), (p, q, d)
             assert d.block_signs == tuple(signs), (p, q, d)
+            assert breaking_index(d) == breaking, (p, q, d)
+            assert describes_tight(d) == (q < 0 and len(truncated) == 1), (p, q, d)
+
+
+def test_malformed_class_rejected_at_construction():
+    # (5,8) has four blocks with e = (1, 2, 1, 1)
+    for counts in ((9,) * 6, (0,), (1, 2, 1)):
+        with pytest.raises(ValueError, match="has 4 blocks"):
+            DecoratedPathPair(5, 8, counts)
+    for counts in ((9,) * 4, (1, 3, 1, 1), (0, -1, 0, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            DecoratedPathPair(5, 8, counts)
+    DecoratedPathPair(5, 8, (1, 2, 1, 1))
 
 
 def test_decoration_parse_roundtrip():

@@ -1,17 +1,22 @@
 """Path pairs, blocks, truncation, shortening."""
 
 import itertools
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
 
+from nonloose import atlas
+from nonloose.decorations import DecoratedPathPair
 from nonloose.farey import dot, is_edge, parse_slope
 from nonloose.paths import (
     block_far_slopes,
     build_pair,
     decompose_blocks,
+    knot,
     p2_truncated,
 )
+from nonloose.surgery import knot_surgery_context
 
 
 def verts(path):
@@ -269,3 +274,17 @@ def test_shorten_matches_brute_force():
                 assert outcomes == {OVERTWISTED}
             else:
                 assert got in outcomes
+
+
+def test_knot_record_cached_bounded_and_frozen():
+    assert knot(5, 8) is knot(5, 8)
+    assert knot(5, 8) == decompose_blocks(build_pair(5, 8))
+    assert knot_surgery_context(5, 8) is knot(5, 8).context
+    for cache in (knot, atlas._classify_cached):
+        assert cache.cache_info().maxsize is not None
+    d = DecoratedPathPair(5, 8, (0, 1, 0, 0))
+    assert d.knot is knot(5, 8)
+    for record, name in ((knot(5, 8), "sizes"), (knot(5, 8), "context"),
+                         (d, "plus_counts"), (d, "breaking")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
