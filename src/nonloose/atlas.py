@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .decorations import (
     DecoratedPathPair,
-    breaking_index,
     classify_consistency,
     count_m,
     count_n,
@@ -29,7 +28,7 @@ from .decorations import (
     orbit_pairs,
 )
 from .farey import Slope, audit, dot, farey_sum
-from .invariants import half_lutz_d3, parity_ok, rotation_data
+from .invariants import half_lutz_d3, parity_ok
 from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
 
@@ -205,22 +204,19 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         key = orbit[0]
         cc_key = classify_consistency(key)
         audit(cc_key.kind == "inconsistent" and cc_key.i == 2, "orbits start 2-inconsistent")
+        # the mirror is the negated orbit, and x -> -x keeps the Gram form
         d3_value = ctx.d3(key.signed_counts)
-        for m in orbit + mirror:
+        for m in orbit[1:]:
             audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
         orbit_strings = tuple(decoration_string(m) for m in orbit + mirror)
-        # member t (from 0) of the climb is (t+2)-inconsistent; a last
-        # member without a breaking index is the pq > 0 totally consistent top
-        top = orbit[-1] if breaking_index(orbit[-1]) is None else None
-        members = orbit[:-1] if top is not None else orbit
-        abs_r = {j: abs(rotation_data(m).R) for j, m in enumerate(members, start=2)}
+        # member t (from 0) of the climb is (t+2)-inconsistent, at key t + 2;
+        # a last member without a breaking index is the pq > 0 totally consistent top
+        abs_r = {j: abs(ctx.rot_l(m.signed_counts)) for j, m in enumerate(orbit, start=2)}
         totally2 = cc_key.totally_2_inconsistent
 
-        if top is not None:
+        if orbit[-1].breaking is None:
             audit(pq > 0, "only pq > 0 orbits have a totally consistent top")
-            structures.append(
-                _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top)
-            )
+            structures.append(_exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r))
             continue
 
         uniform = _uniform_side_signs(key)
@@ -231,7 +227,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         if special_pos:
             audit(d3_value == -pq + p + q, "special pq > 0 d3 must be -pq + p + q")
         if exceptional_neg or special_pos:
-            audit(totally2 and len(members) == 1, "split-sign orbits: one totally-2 member")
+            audit(totally2 and len(orbit) == 1, "split-sign orbits: one totally-2 member")
 
         crossing = pq - sgn * abs_r[2]
         audit(abs(crossing) <= bound, "Bennequin bound violated by X crossing")
@@ -279,7 +275,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
-def _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top) -> Structure:
+def _exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r) -> Structure:
     p, q, pq = pair.p, pair.q, pair.p * pair.q
     audit(d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1")
     vertex = pq - p - q + 2
@@ -288,13 +284,14 @@ def _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top) -
         _leg("v+", "v_leg_plus", +1, vertex, 0, tb_min=vertex + 1),
         _leg("v-", "v_leg_minus", -1, vertex, 0, tb_min=vertex + 1),
     ]
-    abs_r2 = abs(rotation_data(members[0]).R)
+    abs_r2 = abs_r[2]
     audit(abs_r2 == p + q - 2, "V corners sit at rot = -/+(p+q-2)")
     wing_data = []
     prev_abs = abs_r2
-    # the top follows the last member, which breaks at the last block
-    for j, member in enumerate(members[1:] + [top], start=3):
-        r = abs(rotation_data(member).R)
+    # the top, at the last key, follows the member that breaks at the last block
+    top = max(abs_r)
+    for j in range(3, top + 1):
+        r = abs_r[j]
         offset = _merge_offset(ladder, j - 1)
         audit(prev_abs - r == offset, "diamond peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
@@ -304,7 +301,7 @@ def _exceptional_positive(pair, ladder, d3_value, orbit_strings, members, top) -
                        "stays_above_V", "stays_above_V", merge)
             )
         # the all-consistent diamond allows p - 1 doomed stabs: (p+q-|R|)/2 = n_last = p
-        extent = ladder.n[j - 1] if member is not top else (p + q - r) // 2
+        extent = ladder.n[j - 1] if j < top else (p + q - r) // 2
         wing_data.append((j, r, extent, offset))
         prev_abs = r
     notes = (

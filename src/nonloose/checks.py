@@ -16,7 +16,6 @@ from .decorations import (
     count_m,
     count_n,
     count_totally_2_inconsistent,
-    describes_tight,
     enumerate_decorations,
     negate,
     tight_count_lens,
@@ -120,20 +119,14 @@ def check_counts(pmax: int = 9, qmax: int = 40):
         decs = enumerate_decorations(p, q)
         if len(decs) != count_m(p, q):
             bad.append(f"({p},{q}) m mismatch")
-        two_inc = [
-            d
-            for d in decs
-            if not describes_tight(d)
-            and classify_consistency(d).kind == "inconsistent"
-            and classify_consistency(d).i == 2
-        ]
+        two_inc = [d for d in decs if not d.tight and d.breaking == 2]
         if len(two_inc) != 2 * count_n(p, q):
             bad.append(f"({p},{q}) 2-inconsistent count {len(two_inc)} != 2n")
         t2 = [d for d in decs if classify_consistency(d).totally_2_inconsistent]
         if len(t2) != count_totally_2_inconsistent(p, q):
             bad.append(f"({p},{q}) totally-2-inconsistent count")
         if q < 0:
-            tight = [d for d in decs if describes_tight(d)]
+            tight = [d for d in decs if d.tight]
             ceil_abs = abs(-((-q) // p))
             if len(tight) != 2 * ceil_abs:
                 bad.append(f"({p},{q}) tight class count {len(tight)}")
@@ -260,7 +253,7 @@ def check_wing_extents(pmax: int = 7, qmax: int = 16):
     bad = []
     for p, q in knot_classes(pmax, qmax):
         for d in enumerate_decorations(p, q):
-            if describes_tight(d):
+            if d.tight:
                 continue
             cc = classify_consistency(d)
             if cc.kind != "inconsistent":

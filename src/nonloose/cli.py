@@ -16,7 +16,6 @@ from .atlas import classify, mountain_range
 from .decorations import (
     classify_consistency,
     decoration_string,
-    describes_tight,
     enumerate_decorations,
     parse_decoration,
     sign_strings,
@@ -151,7 +150,7 @@ def _cmd_decorations(args) -> int:
                 "tuple": f"({folded})",
                 "consistency": "totally_consistent" if cc.kind == "totally_consistent" else f"{cc.i}-inconsistent",
                 "totally_2_inconsistent": cc.totally_2_inconsistent,
-                "tight": describes_tight(d),
+                "tight": d.tight,
                 "R": data.R,
                 "d3": compile_diagram(d).d3,
             }

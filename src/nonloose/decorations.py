@@ -24,8 +24,10 @@ class DecoratedPathPair:
     """One decoration class of (p,q): a plus count c_b in [0, e_b] per block.
     Built once with it: `knot`, the record of (p,q); `signed_counts`, x_b
     (+ signs minus - signs); `block_signs`, +1 / -1 per uniform block and 0
-    per mixed one; `breaking`, the breaking index; `tight`, see
-    describes_tight."""
+    per mixed one; `breaking`, the breaking index: the smallest i such that
+    blocks 1..i are not uniformly one sign, None if there is none; `tight`,
+    whether it describes the standard tight structure: pq < 0 and the
+    truncated part uniformly one sign, whatever the integer-run suffix does."""
 
     p: int
     q: int
@@ -75,11 +77,10 @@ def decoration_string(d: DecoratedPathPair) -> str:
 def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
     """Parse "P1:<signs>|P2:<signs>" (P1 in forward path order); the class is
     canonicalized, so only per-block plus counts are retained."""
-    parts = dict(
-        chunk.split(":", 1) for chunk in text.replace(" ", "").split("|") if chunk
-    )
-    if set(parts) != {"P1", "P2"}:
+    chunks = [chunk.split(":", 1) for chunk in text.replace(" ", "").split("|") if chunk]
+    if any(len(c) < 2 for c in chunks) or {c[0] for c in chunks} != {"P1", "P2"}:
         raise ValueError(f"decoration must look like 'P1:+-|P2:++-', got {text!r}")
+    parts = dict(chunks)
     blocks = knot(p, q).blocks
     counts = [0] * len(blocks)
     for side in ("P1", "P2"):
@@ -88,10 +89,8 @@ def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
             raise ValueError(f"bad sign characters in {signs!r}")
         offset = 0
         side_blocks = [b for b in blocks if b.side == side]
-        if len(signs) != sum(b.edge_count for b in side_blocks):
-            raise ValueError(
-                f"{side} needs {sum(b.edge_count for b in side_blocks)} signs, got {len(signs)}"
-            )
+        if len(signs) != (need := sum(b.edge_count for b in side_blocks)):
+            raise ValueError(f"{side} needs {need} signs, got {len(signs)}")
         for b in side_blocks:
             chunk = signs[offset : offset + b.edge_count]
             counts[b.index - 1] = chunk.count("+")
@@ -125,23 +124,12 @@ class ConsistencyClass:
     totally_2_inconsistent: bool
 
 
-def breaking_index(d: DecoratedPathPair) -> int | None:
-    """Smallest i such that blocks 1..i are not uniformly one sign."""
-    return d.breaking
-
-
 def classify_consistency(d: DecoratedPathPair) -> ConsistencyClass:
     signs = d.block_signs
     t2i = len(signs) >= 2 and signs[0] != 0 and signs[1] == -signs[0]
     if d.breaking is None:
         return ConsistencyClass("totally_consistent", None, False)
     return ConsistencyClass("inconsistent", d.breaking, t2i)
-
-
-def describes_tight(d: DecoratedPathPair) -> bool:
-    """pq < 0 decorations whose truncated part is uniformly one sign describe
-    the standard tight structure, whatever the integer-run suffix does."""
-    return d.tight
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +257,21 @@ def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], list[Deco
     Every orbit starts at a non-tight 2-inconsistent class (block 1 uniform,
     block 2 not uniform of the same sign), and negate maps these roots to
     roots, so one pair grows from each root with block 1 all - and a + in
-    block 2.  Member t (from 0) is (t+2)-inconsistent; the last member is
-    the pq > 0 totally consistent top when it has no breaking index.  Within
-    a pair the orbit with the lexicographically lower member comes first,
-    and pairs are ordered by that member: the order in which a walk over
-    enumerate_decorations meets them.
+    block 2.  Climbing commutes with negate, so the root's orbit is climbed
+    once and its mirror is the negated climb.  Member t (from 0) is
+    (t+2)-inconsistent; the last member is the pq > 0 totally consistent
+    top when it has no breaking index.  Within a pair the orbit with the
+    lexicographically lower member comes first, and pairs are ordered by
+    that member: the order in which a walk over enumerate_decorations meets
+    them.
     """
     # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
     sizes = knot(p, q).sizes
     pairs = []
     for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
         root = DecoratedPathPair(p, q, (0, *rest))
-        pairs.append(tuple(sorted((_climb(root), _climb(negate(root))), key=_lowest)))
+        orbit = _climb(root)
+        pairs.append(tuple(sorted((orbit, [negate(m) for m in orbit]), key=_lowest)))
     pairs.sort(key=lambda pair: _lowest(pair[0]))
     return pairs
 

@@ -1,9 +1,11 @@
 """Classical invariants computed straight from the Farey data.
 
 The rotation number of the tb = pq representative of a decoration class is
-R = p*r_n + q*r_m, where r_m/r_n are signed sums of edge differences along
-P1/P2.  This is independent of the surgery route in surgery.py and the two
-must always agree (cross_check_rot).
+R = p*r_n + q*r_m, where r_m/r_n, the signed sums of edge differences along
+P1/P2, are linear in the signed block counts with weights `Knot.weights`.
+The surgery context audits those weights against its rot_L once per knot:
+the paper's Farey-vs-surgery cross-check, of which cross_check_rot is the
+per-class form.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decorations import DecoratedPathPair, classify_consistency
-from .farey import audit, raw_diff
 from .surgery import knot_surgery_context
 
 
@@ -23,23 +24,13 @@ class RotationData:
 
 
 def rotation_data(d: DecoratedPathPair) -> RotationData:
-    """r_m, r_n and R = p*r_n + q*r_m for the decoration class d.
-
-    Edge signs are read on the oriented paths exactly as built (P1 and P2
-    both from q/p outward); edges of one block share the same un-reduced
-    Farey difference, so only the signed block count x_b enters.
-    """
-    r_m = 0
-    r_n = 0
-    for b, x in zip(d.knot.blocks, d.signed_counts):
-        dn, dd = raw_diff(b.vertices[1], b.vertices[0])
-        if b.side == "P1":
-            r_m += x * (-dd)
-        else:
-            r_n += x * dn
-    data = RotationData(r_m, r_n, d.p * r_n + d.q * r_m)
-    audit(abs(r_m) <= d.p - 1 and abs(r_n) <= abs(d.q) - 1, "rotation data out of bounds")
-    return data
+    """r_m, r_n and R = p*r_n + q*r_m for the decoration class d: the dot
+    products of its signed block counts with the knot's rotation weights,
+    per side (their bounds are audited once per knot, in decompose_blocks)."""
+    r = {"P1": 0, "P2": 0}
+    for b, w, x in zip(d.knot.blocks, d.knot.weights, d.signed_counts):
+        r[b.side] += w * x
+    return RotationData(r["P1"], r["P2"], d.p * r["P2"] + d.q * r["P1"])
 
 
 def cross_check_rot(d: DecoratedPathPair) -> bool:
@@ -53,12 +44,11 @@ def half_lutz_d3(d: DecoratedPathPair) -> int:
     2-inconsistent classes carry the half-integer torsion families."""
     if not classify_consistency(d).totally_2_inconsistent:
         raise ValueError("half Lutz twist families need a totally 2-inconsistent class")
-    base = knot_surgery_context(d.p, d.q).d3(d.signed_counts)
-    big_r = abs(rotation_data(d).R)
+    ctx = knot_surgery_context(d.p, d.q)
+    base = ctx.d3(d.signed_counts)
+    big_r = abs(ctx.rot_l(d.signed_counts))
     pq = d.p * d.q
-    if pq > 0:
-        return base + big_r - pq
-    return base - big_r - pq
+    return base - pq + (big_r if pq > 0 else -big_r)
 
 
 def self_linking(tb: int, rot: int) -> int:

@@ -91,13 +91,15 @@ class Block:
 @dataclass(frozen=True)
 class Knot:
     """Everything the decoration classes of (p,q) share: the path pair, its
-    blocks in index order, their edge counts e_b (`sizes`) and the truncated
-    blocks, which come first.  The surgery context is built on first read."""
+    blocks in index order, their edge counts e_b (`sizes`), the truncated
+    blocks, which come first, and the rotation weights w_b (`weights`, see
+    decompose_blocks).  The surgery context is built on first read."""
 
     pair: PathPair
     blocks: tuple[Block, ...]
     sizes: tuple[int, ...]
     truncated: tuple[Block, ...]
+    weights: tuple[int, ...]
 
     @cached_property
     def context(self):
@@ -176,6 +178,10 @@ def decompose_blocks(pair: PathPair) -> Knot:
     The length-1 leading block gets index 1; for the -(2n+1)/2 tie both
     leading blocks have length 1 and P2 goes first (fixed convention).
     The pq < 0 integer run beyond ceil(q/p) is indexed after everything else.
+    A block's rotation weight is -dd on P1 and dn on P2, (dn, dd) the
+    un-reduced Farey difference its edges share; r_m and r_n are the sums of
+    w_b x_b over P1 and P2, so as |x_b| <= e_b auditing sum |w_b| e_b <= p - 1
+    on P1 and <= |q| - 1 on P2 bounds them for every class at once.
     """
     trunc = p2_truncated(pair)
     raw1 = _split_blocks(pair.p1)
@@ -205,7 +211,16 @@ def decompose_blocks(pair: PathPair) -> Knot:
     truncated = tuple(blocks)
     for verts, pivot in suffix:
         blocks.append(Block(len(blocks) + 1, "P2", verts, pivot, False))
-    return Knot(pair, tuple(blocks), tuple(len(b.vertices) - 1 for b in blocks), truncated)
+
+    sizes = tuple(len(b.vertices) - 1 for b in blocks)
+    weights, reach = [], {"P1": 0, "P2": 0}
+    for b, e in zip(blocks, sizes):
+        dn, dd = raw_diff(b.vertices[1], b.vertices[0])
+        weights.append(-dd if b.side == "P1" else dn)
+        reach[b.side] += abs(weights[-1]) * e
+    audit(reach["P1"] < pair.p and reach["P2"] < abs(pair.q),
+          f"({pair.p},{pair.q}) rotation weights reach {reach}, beyond p - 1 or |q| - 1")
+    return Knot(pair, tuple(blocks), sizes, truncated, tuple(weights))
 
 
 @lru_cache(maxsize=1024)

@@ -47,15 +47,24 @@ class SurgeryDiagram:
         return tuple(c.rotation for c in self.components)
 
 
-class _Chain:
+class _ReadOnly:
+    """Set once, in __init__ through vars(self): cached contexts are shared."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Chain(_ReadOnly):
     """One DGS chain: digits of the rational coefficient, stabilization
     budgets and contact framings tb_i, innermost (i = 0) first."""
 
     def __init__(self, coefficient: Fraction):
-        self.coefficient = coefficient
-        self.digits = tuple(negative_cf(coefficient))
-        self.stabs = (abs(self.digits[0] + 1),) + tuple(abs(d + 2) for d in self.digits[1:])
-        self.tb = tuple(accumulate(self.stabs, lambda t, s: t - s, initial=-1))[1:]
+        digits = tuple(negative_cf(coefficient))
+        stabs = (abs(digits[0] + 1),) + tuple(abs(d + 2) for d in digits[1:])
+        tb = tuple(accumulate(stabs, lambda t, s: t - s, initial=-1))[1:]
+        vars(self).update(coefficient=coefficient, digits=digits, stabs=stabs, tb=tb)
 
     def __len__(self):
         return len(self.digits)
@@ -66,7 +75,7 @@ def knot_surgery_context(p: int, q: int) -> "_Context":
     return knot(p, q).context
 
 
-class _Context:
+class _Context(_ReadOnly):
     """The DGS link of (p,q): det, sigma, chi and solves with its linking
     matrix M, exact in integers and O(n) in the n components.
 
@@ -102,22 +111,24 @@ class _Context:
     definite.  The Schur complement of N in M is [[b, b-1], [b-1, b]] with
     b = -1^T N^-1 1 > 0 and eigenvalues 1 and 2b-1; det M = det N (2b-1),
     sign det N = (-1)^n.
+
+    rot_L is the Farey rotation R = p r_n + q r_m, so its weights must be
+    q w_b on P1 and p w_b on P2 (w = `Knot.weights`), audited once per knot.
     """
 
     def __init__(self, k: Knot):
-        p, q = self.p, self.q = k.pair.p, k.pair.q
+        p, q = k.pair.p, k.pair.q
         blocks = k.blocks
         neighbor = clockwise_neighbor(make_slope(q, p))
-        self.chain_p = _Chain(Fraction(-p, neighbor.den))
-        self.chain_q = _Chain(Fraction(-q, q - neighbor.num))
-        u, v = len(self.chain_p), len(self.chain_q)
-        n = self.size = u + v + 2
-        self.chi = n + 1
+        chain_p = _Chain(Fraction(-p, neighbor.den))
+        chain_q = _Chain(Fraction(-q, q - neighbor.num))
+        u, v = len(chain_p), len(chain_q)
+        n = u + v + 2
 
         # (display position, flip) per block, matched to its chain's
         # stabilized components in order
         slots = [None] * len(blocks)
-        for chain, base, side, flip in ((self.chain_p, 0, "P1", 1), (self.chain_q, u, "P2", -1)):
+        for chain, base, side, flip in ((chain_p, 0, "P1", 1), (chain_q, u, "P2", -1)):
             stabilized = [i for i, s in enumerate(chain.stabs) if s > 0]
             side_blocks = [b for b in blocks if b.side == side]
             budgets = [chain.stabs[i] for i in stabilized]
@@ -125,29 +136,32 @@ class _Context:
             audit(budgets == sizes, f"chain/block mismatch ({p},{q}) {side}: {budgets} vs {sizes}")
             for i, b in zip(stabilized, side_blocks):
                 slots[b.index - 1] = (base + len(chain) - 1 - i, flip)
-        self.slots = tuple(slots)
 
         # (display start, length, 1 and the leading minors of the slid path)
-        self._paths = tuple(
+        paths = tuple(
             (base, len(chain), _path_minors(chain.digits[:0:-1] + (chain.digits[0] - 1,)))
-            for chain, base in ((self.chain_p, 0), (self.chain_q, u))
+            for chain, base in ((chain_p, 0), (chain_q, u))
         )
         # per path (w, Q'): Q' the minor before the root and w = Q + Q' the
         # minor with the root's diagonal d_0, non-zero as all digits are <= -2
-        self._root_weights = tuple((m[-1] + m[-2], m[-2]) for _, _, m in self._paths)
-        (wp, tp), (wq, tq) = self._root_weights
-        self.det = -(wp * wq + tp * wq + tq * wp)
-        audit(abs(self.det) == 1, f"linking matrix must be unimodular, det = {self.det}")
-        self.sigma = 3 - n + (-1) ** n * self.det
+        (wp, tp), (wq, tq) = root_weights = tuple((m[-1] + m[-2], m[-2]) for _, _, m in paths)
+        det = -(wp * wq + tp * wq + tq * wp)
+        audit(abs(det) == 1, f"linking matrix must be unimodular, det = {det}")
+        vars(self).update(
+            p=p, q=q, chain_p=chain_p, chain_q=chain_q, size=n, chi=n + 1, slots=tuple(slots),
+            _paths=paths, _root_weights=root_weights, det=det, sigma=3 - n + (-1) ** n * det,
+        )
 
-        columns = [self._solve([int(t == j) for t in range(n)]) for j, _ in self.slots]
-        self.gram = tuple(
-            tuple(f * g * col[t] for t, g in self.slots)
-            for (_, f), col in zip(self.slots, columns)
+        columns = [self._solve([int(t == j) for t in range(n)]) for j, _ in slots]
+        gram = tuple(
+            tuple(f * g * col[t] for t, g in slots) for (_, f), col in zip(slots, columns)
         )
         # E lk is -1 at the roots and the (+1)s
         z = self._solve([-int(t in (u - 1, n - 3, n - 2, n - 1)) for t in range(n)])
-        self.lk_weights = tuple(-f * z[t] for t, f in self.slots)
+        lk_weights = tuple(-f * z[t] for t, f in slots)
+        farey = tuple((q if b.side == "P1" else p) * w for b, w in zip(blocks, k.weights))
+        audit(lk_weights == farey, f"({p},{q}) surgery rot_L weights differ from the Farey ones")
+        vars(self).update(gram=gram, lk_weights=lk_weights)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:

@@ -137,6 +137,16 @@ def test_mountain_inverted_window_refused(capsys):
         assert err.splitlines() == ["error: empty tb window: tb min 10 > tb max 0"]
 
 
+def test_malformed_decoration_refused(capsys):
+    # a chunk without ':' gets the format message, not a dict() error
+    for verb, text in (("surgery", "P1++|P2:+++"), ("invariants", "P1:++|P2")):
+        code, out, err = run(capsys, verb, "5", "8", "--decoration", text)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: decoration must look like 'P1:+-|P2:++-', got {text!r}"
+        ]
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--pmax", "3", "--qmax", "8")
     assert code == 0

@@ -8,14 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonloose.decorations import (
     DecoratedPathPair,
-    breaking_index,
+    _climb,
     classify_consistency,
     compatibility_orbit,
     count_m,
     count_n,
     count_totally_2_inconsistent,
     decoration_string,
-    describes_tight,
     enumerate_decorations,
     negate,
     orbit_pairs,
@@ -87,7 +86,7 @@ def test_counts_exhaustive():
         assert len(decs) == count_m(p, q)
         two_inc = [
             d for d in decs
-            if not describes_tight(d)
+            if not d.tight
             and classify_consistency(d).kind == "inconsistent"
             and classify_consistency(d).i == 2
         ]
@@ -101,7 +100,7 @@ def test_tight_classes_count():
     for p, q in knot_range(7, 30):
         if q > 0:
             continue
-        tight = [d for d in enumerate_decorations(p, q) if describes_tight(d)]
+        tight = [d for d in enumerate_decorations(p, q) if d.tight]
         assert len(tight) == 2 * abs(-((-q) // p))
 
 
@@ -182,7 +181,7 @@ def test_orbits_5m8():
 
 def test_orbit_partition():
     for p, q in [(5, 8), (5, -8), (2, -7), (3, 5), (4, 7), (3, -8)]:
-        decs = [d for d in enumerate_decorations(p, q) if not describes_tight(d)]
+        decs = [d for d in enumerate_decorations(p, q) if not d.tight]
         seen: dict = {}
         for d in decs:
             orbit = compatibility_orbit(d)
@@ -208,7 +207,7 @@ def grouped_orbit_pairs(p, q):
     of each one not yet seen, and pair each orbit with its mirror's orbit."""
     orbit_of, key_of = {}, {}
     for d in enumerate_decorations(p, q):
-        if describes_tight(d) or d.plus_counts in key_of:
+        if d.tight or d.plus_counts in key_of:
             continue
         orbit = compatibility_orbit(d)
         key = orbit[0].plus_counts
@@ -232,8 +231,8 @@ def test_orbit_pairs_match_grouping_on_sweep():
 
 
 @st.composite
-def _class_outside_sweep(draw):
-    aq = draw(st.integers(41, 400))
+def _class_outside_sweep(draw, qmax=400):
+    aq = draw(st.integers(41, qmax))
     p = draw(st.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
     q = draw(st.sampled_from((aq, -aq)))
     assume(count_m(p, q) <= 2000)
@@ -257,6 +256,26 @@ def test_climb_steps_shuffle_back_down():
                     assert shuffle_down(parent) == child, (p, q, child)
                     steps += 1
     assert steps == 9942
+
+
+def _check_climb_commutes_with_negate(p, q):
+    # orbit_pairs climbs one orbit of each pair and negates it for the other
+    # one; climbing the negated root itself must give the same members
+    for pair in orbit_pairs(p, q):
+        for orbit in pair:
+            assert _climb(orbit[0]) == orbit, (p, q, orbit[0])
+            assert _climb(negate(orbit[0])) == [negate(m) for m in orbit], (p, q, orbit[0])
+
+
+def test_climb_commutes_with_negate_on_sweep():
+    for p, q in knot_range(39, 40):
+        _check_climb_commutes_with_negate(p, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_class_outside_sweep(120))
+def test_climb_commutes_with_negate_outside_sweep(pq):
+    _check_climb_commutes_with_negate(*pq)
 
 
 def test_block_record_matches_edge_expansion():
@@ -285,8 +304,8 @@ def test_block_record_matches_edge_expansion():
                     truncated.update(edges)
             assert d.signed_counts == tuple(xs), (p, q, d)
             assert d.block_signs == tuple(signs), (p, q, d)
-            assert breaking_index(d) == breaking, (p, q, d)
-            assert describes_tight(d) == (q < 0 and len(truncated) == 1), (p, q, d)
+            assert d.breaking == breaking, (p, q, d)
+            assert d.tight == (q < 0 and len(truncated) == 1), (p, q, d)
 
 
 def test_malformed_class_rejected_at_construction():
@@ -314,6 +333,6 @@ def test_nonloose_decorations_2_minus_odd():
     # 2n non-loose classes, all totally 2-inconsistent
     for n in (1, 2, 3, 4):
         q = -(2 * n + 1)
-        decs = [d for d in enumerate_decorations(2, q) if not describes_tight(d)]
+        decs = [d for d in enumerate_decorations(2, q) if not d.tight]
         assert len(decs) == 2 * n
         assert all(classify_consistency(d).totally_2_inconsistent for d in decs)

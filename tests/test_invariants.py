@@ -3,11 +3,13 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonloose.decorations import (
     enumerate_decorations,
     parse_decoration,
 )
+from nonloose.farey import raw_diff
 from nonloose.invariants import (
     cross_check_rot,
     half_lutz_d3,
@@ -15,7 +17,8 @@ from nonloose.invariants import (
     rotation_data,
     self_linking,
 )
-from nonloose.surgery import compile_diagram
+from nonloose.paths import knot
+from nonloose.surgery import compile_diagram, knot_surgery_context
 
 
 def test_rotation_data_2_plus_family():
@@ -70,6 +73,43 @@ def test_cross_check_rot_exhaustive():
             for q in (aq, -aq):
                 for d in enumerate_decorations(p, q):
                     assert cross_check_rot(d)
+
+
+def _check_rotation_form(p, q):
+    """The per-knot rotation weights: the first edge difference of each
+    block, scaled by q on P1 and p on P2 they are the surgery rot_L
+    weights, and their side sums bound |r_m| by p - 1 and |r_n| by |q| - 1."""
+    k = knot(p, q)
+    reach = {"P1": 0, "P2": 0}
+    scaled = []
+    for b, w, e in zip(k.blocks, k.weights, k.sizes):
+        dn, dd = raw_diff(b.vertices[1], b.vertices[0])
+        assert w == (-dd if b.side == "P1" else dn), (p, q, b.index)
+        reach[b.side] += abs(w) * e
+        scaled.append((q if b.side == "P1" else p) * w)
+    assert tuple(scaled) == knot_surgery_context(p, q).lk_weights, (p, q)
+    assert reach["P1"] <= p - 1 and reach["P2"] <= abs(q) - 1, (p, q, reach)
+
+
+def test_rotation_form_on_sweep():
+    for aq in range(3, 41):
+        for p in range(2, aq):
+            if gcd(p, aq) == 1:
+                _check_rotation_form(p, aq)
+                _check_rotation_form(p, -aq)
+
+
+@st.composite
+def _knot_outside_sweep(draw):
+    aq = draw(st.integers(41, 400))
+    p = draw(st.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
+    return p, draw(st.sampled_from((aq, -aq)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_knot_outside_sweep())
+def test_rotation_form_outside_sweep(pq):
+    _check_rotation_form(*pq)
 
 
 def test_rotation_injective_per_class():

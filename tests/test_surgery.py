@@ -1,5 +1,6 @@
 """Surgery presentations: golden matrices, signatures, d3 values."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -15,8 +16,9 @@ from nonloose.decorations import (
     enumerate_decorations,
     parse_decoration,
 )
-from nonloose.paths import build_pair, decompose_blocks
-from nonloose.surgery import compile_diagram, knot_surgery_context
+from nonloose.farey import InvariantError
+from nonloose.paths import build_pair, decompose_blocks, knot
+from nonloose.surgery import _Context, compile_diagram, knot_surgery_context
 
 GOLDEN_58 = (
     (-4, -2, -1, -1, -1, -1),
@@ -331,6 +333,22 @@ def test_cached_context_read_only():
         with pytest.raises(TypeError):
             values[0] = 0
     assert compile_diagram(d).rot_l == -7
+    with pytest.raises(AttributeError):
+        ctx.sigma += 4
+    with pytest.raises(AttributeError):
+        del ctx.gram
+    with pytest.raises(AttributeError):
+        ctx.chain_p.tb = (0,)
+    assert compile_diagram(d).d3 == 2
+
+
+def test_context_refuses_perturbed_rotation_weights():
+    k = knot(5, 8)
+    assert _Context(k).lk_weights == knot_surgery_context(5, 8).lk_weights
+    for b in range(len(k.weights)):
+        weights = k.weights[:b] + (k.weights[b] + 1,) + k.weights[b + 1:]
+        with pytest.raises(InvariantError):
+            _Context(dataclasses.replace(k, weights=weights))
 
 
 def test_signature_euler_api():
