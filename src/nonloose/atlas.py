@@ -15,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
+from sys import intern
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .decorations import (
     DecoratedPathPair,
+    class_counts,
     classify_consistency,
-    count_m,
-    count_n,
-    count_totally_2_inconsistent,
     decoration_string,
+    mirror_string,
     orbit_pairs,
 )
 from .farey import Slope, audit, dot, farey_sum
@@ -35,7 +35,7 @@ from .surgery import knot_surgery_context
 UNBOUNDED = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnotFamilyRecord:
     id: str
     kind: str
@@ -60,7 +60,7 @@ class KnotFamilyRecord:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransverseClass:
     sl: int
     torsion2: int
@@ -68,14 +68,14 @@ class TransverseClass:
     origin: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransverseEntry:
     d3: int
     classes: tuple[TransverseClass, ...]
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Structure:
     d3: int
     exceptional: bool
@@ -87,7 +87,7 @@ class Structure:
     wing_data: tuple[tuple[int, int, int, int], ...]  # (member k, |R_k|, extent, merge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atlas:
     p: int
     q: int
@@ -122,12 +122,12 @@ def _x_legs(fams, crossing, torsion2, base, threshold):
     suffix = "" if base else f"~{torsion2}"
     for sign, tag in ((+1, "+"), (-1, "-")):
         kind = ("x_leg_plus" if sign > 0 else "x_leg_minus") if base else "torsion_member"
-        fid = f"x{tag}{suffix}"
+        fid = intern(f"x{tag}{suffix}")
         if threshold is None:
             fams.append(_leg(fid, kind, sign, crossing, torsion2))
         else:
             fams.append(_leg(fid, kind, sign, crossing, torsion2, tb_min=threshold + 1))
-            fams.append(_leg(f"{fid}lo", kind, sign, crossing, torsion2 + 1, tb_max=threshold))
+            fams.append(_leg(intern(f"{fid}lo"), kind, sign, crossing, torsion2 + 1, tb_max=threshold))
 
 
 def _point(fid, kind, rot, tb, torsion2, stab_plus, stab_minus, merge=()):
@@ -200,15 +200,18 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     structures: list[Structure] = []
     transverse: list[TransverseEntry] = []
 
-    for orbit, mirror in pairs:
+    for orbit, mirror_first in pairs:
+        # everything read below is the same on the mirror orbit, x -> -x:
+        # consistency, d3 (a Gram form), |rot_L| and the split-sign test
         key = orbit[0]
         cc_key = classify_consistency(key)
         audit(cc_key.kind == "inconsistent" and cc_key.i == 2, "orbits start 2-inconsistent")
-        # the mirror is the negated orbit, and x -> -x keeps the Gram form
         d3_value = ctx.d3(key.signed_counts)
         for m in orbit[1:]:
             audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
-        orbit_strings = tuple(decoration_string(m) for m in orbit + mirror)
+        strings = [decoration_string(m) for m in orbit]
+        mirrors = [mirror_string(m) for m in orbit]
+        orbit_strings = tuple(mirrors + strings if mirror_first else strings + mirrors)
         # member t (from 0) of the climb is (t+2)-inconsistent, at key t + 2;
         # a last member without a breaking index is the pq > 0 totally consistent top
         abs_r = {j: abs(ctx.rot_l(m.signed_counts)) for j, m in enumerate(orbit, start=2)}
@@ -267,11 +270,10 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             st = replace(st, notes=st.notes + (note,))
         final.append(st)
 
-    n_count = count_n(p, q)
-    t2_count = count_totally_2_inconsistent(p, q)
+    m_count, n_count, t2_count = class_counts(p, q)
     audit(len(pairs) == n_count, "orbit pairs must number n(p,q)")
     audit(len(final) == n_count + t2_count // 2, "structures must number n + totally2/2")
-    counts = MappingProxyType({"m": count_m(p, q), "n": n_count, "totally2": t2_count})
+    counts = MappingProxyType({"m": m_count, "n": n_count, "totally2": t2_count})
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
@@ -297,7 +299,7 @@ def _exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r) -> Struc
         merge = ((j - 1, offset),)
         for sign, tag in ((+1, "+"), (-1, "-")):
             fams.append(
-                _point(f"d{j}{tag}", "diamond_peak", -sign * r, pq, 0,
+                _point(intern(f"d{j}{tag}"), "diamond_peak", -sign * r, pq, 0,
                        "stays_above_V", "stays_above_V", merge)
             )
         # the all-consistent diamond allows p - 1 doomed stabs: (p+q-|R|)/2 = n_last = p
@@ -337,12 +339,12 @@ def _generic_structure(
         inner_plus = "x+" if j == 3 else f"w{j-1}+"
         inner_minus = "x-" if j == 3 else f"w{j-1}-"
         fams.append(
-            _leg(f"w{j}+", "wing_peak", +1, pq - sgn * r, 0, tb_max=pq,
-                 stab=("stays", f"becomes:{inner_plus}"), merge=merge)
+            _leg(intern(f"w{j}+"), "wing_peak", +1, pq - sgn * r, 0, tb_max=pq,
+                 stab=("stays", intern(f"becomes:{inner_plus}")), merge=merge)
         )
         fams.append(
-            _leg(f"w{j}-", "wing_peak", -1, pq - sgn * r, 0, tb_max=pq,
-                 stab=(f"becomes:{inner_minus}", "stays"), merge=merge)
+            _leg(intern(f"w{j}-"), "wing_peak", -1, pq - sgn * r, 0, tb_max=pq,
+                 stab=(intern(f"becomes:{inner_minus}"), "stays"), merge=merge)
         )
         wing_data.append((j, r, ladder.n[j - 1], offset))
         prev_abs = r
@@ -368,9 +370,7 @@ def _generic_structure(
         audit(not wing_data, "torsion towers only occur on wingless chains")
         for level in range(2, max_torsion2 + 1, 2):
             _x_legs(fams, crossing, level, False, threshold)
-        notes.append(
-            f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"
-        )
+        notes.append(_tower_note(max_torsion2))
     if special_pos:
         notes.append("torsion jumps by 1/2 at and below tb = pq - p - q on every level")
 
@@ -400,6 +400,10 @@ def _generic_structure(
     return st, tr
 
 
+def _tower_note(max_torsion2: int) -> str:
+    return intern(f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}")
+
+
 def _transverse_levels(special_pos: bool, half_side: bool, max_torsion2: int):
     """Doubled torsion levels of the infinite transverse family: the
     negative-stabilization limit picks up the below-threshold torsion of the
@@ -421,14 +425,12 @@ def _half_lutz_structure(
     threshold = pq - p - q if special_pos else None
     fams: list[KnotFamilyRecord] = []
     notes = [
-        f"obtained from the d3 = {d3_value} structure by a half Lutz twist "
-        "along its non-loose transverse representative"
+        intern(f"obtained from the d3 = {d3_value} structure by a half Lutz twist "
+               "along its non-loose transverse representative")
     ]
     for level in range(1, max_torsion2 + 1, 2) or [1]:
         _x_legs(fams, crossing, level, level == 1, threshold)
-    notes.append(
-        f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"
-    )
+    notes.append(_tower_note(max_torsion2))
     if special_pos:
         notes.append("torsion jumps by 1/2 at and below tb = pq - p - q on every level")
     st = Structure(
@@ -449,7 +451,7 @@ def _half_lutz_structure(
 # mountain ranges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointInfo:
     count: int
     families: tuple[str, ...]

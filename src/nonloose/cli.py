@@ -8,7 +8,6 @@ or audit failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -37,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(data) -> str:
+    import json  # only the json formats pay for it
+
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
 
 

@@ -19,7 +19,7 @@ from .farey import Slope, audit, make_slope, negative_cf, raw_diff
 from .paths import Knot, knot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedPathPair:
     """One decoration class of (p,q): a plus count c_b in [0, e_b] per block.
     Built once with it: `knot`, the record of (p,q); `signed_counts`, x_b
@@ -55,30 +55,47 @@ class DecoratedPathPair:
         # pq < 0 and the truncated blocks, which come first, uniformly one sign
         tight = self.q < 0 and (breaking is None or breaking > len(k.truncated))
         # the record is frozen, so its derived fields are written past __setattr__
-        vars(self).update(knot=k, signed_counts=tuple(x), block_signs=tuple(signs),
-                          breaking=breaking, tight=tight)
+        for name, value in (("knot", k), ("signed_counts", tuple(x)),
+                            ("block_signs", tuple(signs)), ("breaking", breaking),
+                            ("tight", tight)):
+            object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
         return decoration_string(self)
 
 
-def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
-    """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
+def _side_signs(k: Knot, plus_counts) -> tuple[str, str]:
     sides = {"P1": "", "P2": ""}
-    for c, e, b in zip(d.plus_counts, d.knot.sizes, d.knot.blocks):
+    for c, e, b in zip(plus_counts, k.sizes, k.blocks):
         sides[b.side] += "+" * c + "-" * (e - c)
     return sides["P1"], sides["P2"]
+
+
+def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
+    """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
+    return _side_signs(d.knot, d.plus_counts)
 
 
 def decoration_string(d: DecoratedPathPair) -> str:
     return "P1:{}|P2:{}".format(*sign_strings(d))
 
 
+def _mirror_counts(d: DecoratedPathPair) -> tuple[int, ...]:
+    """The plus counts of the mirror class: c_b - x_b = e_b - c_b."""
+    return tuple(e - c for c, e in zip(d.plus_counts, d.knot.sizes))
+
+
+def mirror_string(d: DecoratedPathPair) -> str:
+    """decoration_string(negate(d)), without building the mirror class."""
+    return "P1:{}|P2:{}".format(*_side_signs(d.knot, _mirror_counts(d)))
+
+
 def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
     """Parse "P1:<signs>|P2:<signs>" (P1 in forward path order); the class is
     canonicalized, so only per-block plus counts are retained."""
     chunks = [chunk.split(":", 1) for chunk in text.replace(" ", "").split("|") if chunk]
-    if any(len(c) < 2 for c in chunks) or {c[0] for c in chunks} != {"P1", "P2"}:
+    # exactly one chunk per side: a repeated side is refused, not overwritten
+    if any(len(c) < 2 for c in chunks) or sorted(c[0] for c in chunks) != ["P1", "P2"]:
         raise ValueError(f"decoration must look like 'P1:+-|P2:++-', got {text!r}")
     parts = dict(chunks)
     blocks = knot(p, q).blocks
@@ -99,10 +116,8 @@ def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
 
 
 def negate(d: DecoratedPathPair) -> DecoratedPathPair:
-    """The mirror class: every sign flipped, x -> -x (c_b - x_b = e_b - c_b)."""
-    return DecoratedPathPair(
-        d.p, d.q, tuple(c - x for c, x in zip(d.plus_counts, d.signed_counts))
-    )
+    """The mirror class: every sign flipped, x -> -x."""
+    return DecoratedPathPair(d.p, d.q, _mirror_counts(d))
 
 
 def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
@@ -117,7 +132,7 @@ def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
 # consistency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyClass:
     kind: str  # "totally_consistent" | "inconsistent"
     i: int | None  # inconsistency index (>= 2) when kind == "inconsistent"
@@ -246,34 +261,32 @@ def compatibility_orbit(d: DecoratedPathPair) -> list[DecoratedPathPair]:
     return below[::-1] + _climb(d)
 
 
-def _lowest(orbit: list[DecoratedPathPair]) -> tuple[int, ...]:
-    return min(m.plus_counts for m in orbit)
-
-
-def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], list[DecoratedPathPair]]]:
+def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], bool]]:
     """The compatibility orbits of the non-tight classes, paired with their
-    mirrors: n(p,q) pairs.
+    mirrors: n(p,q) pairs, each given as (orbit, mirror_first).
 
     Every orbit starts at a non-tight 2-inconsistent class (block 1 uniform,
     block 2 not uniform of the same sign), and negate maps these roots to
     roots, so one pair grows from each root with block 1 all - and a + in
-    block 2.  Climbing commutes with negate, so the root's orbit is climbed
-    once and its mirror is the negated climb.  Member t (from 0) is
+    block 2.  `orbit` is that root's climb; climbing commutes with negate,
+    so the mirror orbit is [negate(m) for m in orbit], which callers read
+    through mirror_string without building it.  Member t (from 0) is
     (t+2)-inconsistent; the last member is the pq > 0 totally consistent
     top when it has no breaking index.  Within a pair the orbit with the
-    lexicographically lower member comes first, and pairs are ordered by
-    that member: the order in which a walk over enumerate_decorations meets
-    them.
+    lexicographically lower member comes first (`mirror_first` when that is
+    the mirror), and pairs are ordered by that member: the order in which a
+    walk over enumerate_decorations meets them.
     """
     # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
     sizes = knot(p, q).sizes
     pairs = []
     for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
-        root = DecoratedPathPair(p, q, (0, *rest))
-        orbit = _climb(root)
-        pairs.append(tuple(sorted((orbit, [negate(m) for m in orbit]), key=_lowest)))
-    pairs.sort(key=lambda pair: _lowest(pair[0]))
-    return pairs
+        orbit = _climb(DecoratedPathPair(p, q, (0, *rest)))
+        lowest = min(m.plus_counts for m in orbit)
+        mirror_lowest = min(map(_mirror_counts, orbit))
+        pairs.append((min(lowest, mirror_lowest), orbit, mirror_lowest < lowest))
+    pairs.sort(key=lambda pair: pair[0])
+    return [(orbit, mirror_first) for _, orbit, mirror_first in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +313,25 @@ def _ab_digits(p: int, q: int) -> tuple[list[int], list[int]]:
     return _upper_digits(v), _lower_digits(v)
 
 
+def class_counts(p: int, q: int) -> tuple[int, int, int]:
+    """(m, n, totally2) of (p,q) from one pass over its two digit strings."""
+    a, b = _ab_digits(p, q)
+    lead = abs(prod(x + 1 for x in a[:-1]) * prod(x + 1 for x in b[:-1]))
+    return (lead * abs(a[-1] * b[-1]), lead * abs((a[-1] + 1) * (b[-1] + 1)), 2 * lead)
+
+
 def count_m(p: int, q: int) -> int:
     """Number of decoration classes: |Tight(S^0; q/p)| x |Tight(S_inf; q/p)|."""
-    a, b = _ab_digits(p, q)
-    return _tight_count(a) * _tight_count(b)
+    return class_counts(p, q)[0]
 
 
 def count_n(p: int, q: int) -> int:
     """Number of tight structures on L(p,-q) # L(q,-p)."""
-    a, b = _ab_digits(p, q)
-    return abs(prod(x + 1 for x in a)) * abs(prod(x + 1 for x in b))
+    return class_counts(p, q)[1]
 
 
 def count_totally_2_inconsistent(p: int, q: int) -> int:
-    a, b = _ab_digits(p, q)
-    return 2 * abs(prod(x + 1 for x in a[:-1])) * abs(prod(x + 1 for x in b[:-1]))
+    return class_counts(p, q)[2]
 
 
 def tight_count_solid_torus_upper(r: Slope) -> int:

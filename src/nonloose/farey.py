@@ -22,7 +22,7 @@ def audit(cond: bool, msg: str) -> None:
         raise InvariantError(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A Farey vertex: reduced num/den with den >= 0, or infinity = 1/0."""
 
@@ -128,7 +128,7 @@ NEGATIVE = "negative"
 POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CFExpansion:
     """Continued fraction digits [a1,...,an] for a1 - 1/(a2 - 1/(...)).
 

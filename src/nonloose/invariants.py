@@ -16,7 +16,7 @@ from .decorations import DecoratedPathPair, classify_consistency
 from .surgery import knot_surgery_context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationData:
     r_m: int
     r_n: int

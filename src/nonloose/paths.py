@@ -27,7 +27,7 @@ from .farey import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FareyPath:
     vertices: tuple[Slope, ...]
 
@@ -44,7 +44,7 @@ class FareyPath:
                 raise ValueError(f"not a Farey path: {a} -- {b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPair:
     """The pair (P1, P2) representing q/p, with the knot class it came from."""
 
@@ -62,7 +62,7 @@ class PathPair:
         return self.q > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A maximal continued fraction block of one path.
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from html import escape
 
 from .atlas import MountainRange
 
@@ -95,13 +94,12 @@ def render_svg(mrange: MountainRange) -> str:
             color = "#c62828"
         else:
             color = "#1565c0"
-        label = escape(
+        label = (
             f"rot={rot} tb={tb} count={info.count}"
             + (" tower" if info.tower else "")
             + (" extra" if info.extra else "")
-            + " [" + ",".join(info.families) + "]",
-            quote=False,
-        )
+            + " [" + ",".join(info.families) + "]"
+        ).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<circle cx="{x(rot)}" cy="{y(tb)}" r="4" fill="{color}">'
             f"<title>{label}</title></circle>"

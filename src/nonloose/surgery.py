@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 from .decorations import DecoratedPathPair
 from .farey import audit, clockwise_neighbor, make_slope, negative_cf
 from .paths import Knot, knot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     contact_coefficient: Fraction
     smooth_coefficient: Fraction
@@ -29,7 +30,7 @@ class Component:
     stabilizations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryDiagram:
     p: int
     q: int
@@ -205,14 +206,14 @@ class _Context(_ReadOnly):
     def d3(self, x) -> int:
         """d3 of the class with signed block counts x (tight standard
         structure at 0): c^2 = x^T G x."""
-        c2 = sum(xi * sum(g * xj for g, xj in zip(row, x)) for row, xi in zip(self.gram, x) if xi)
+        c2 = sum(xi * sum(map(mul, row, x)) for row, xi in zip(self.gram, x) if xi)
         num = c2 - 3 * self.sigma - 2 * (self.chi - 1)
         audit(num % 4 == 0, "d3 did not come out an integer: convention fault")
         return num // 4 + 2
 
     def rot_l(self, x) -> int:
         """Rotation number of the pattern knot after surgery (all linkings -1)."""
-        return sum(w * xb for w, xb in zip(self.lk_weights, x))
+        return sum(map(mul, self.lk_weights, x))
 
     def rotation_vector(self, x) -> tuple[int, ...]:
         """Component rotation numbers of the class with signed block counts

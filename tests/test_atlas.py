@@ -1,6 +1,8 @@
 """Atlas assembly: structures, families, transverse quotient, ranges."""
 
 import json
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from math import gcd
 
 import pytest
@@ -13,7 +15,11 @@ from nonloose.atlas import (
     wing_extent,
 )
 from nonloose.cli import main
-from nonloose.decorations import parse_decoration
+from nonloose.decorations import classify_consistency, orbit_pairs, parse_decoration
+from nonloose.farey import cf_expand
+from nonloose.invariants import rotation_data
+from nonloose.paths import Knot, knot
+from nonloose.surgery import compile_diagram
 from nonloose.serialize import atlas_from_dict, atlas_to_dict
 
 
@@ -299,6 +305,58 @@ def test_cached_counts_read_only():
     assert classify(5, 8).counts["n"] == 8
     with pytest.raises(TypeError):
         atlas_from_dict(atlas_to_dict(atlas)).counts["n"] = -1
+
+
+def _records(obj, out):
+    """Every dataclass record reachable from obj through fields, tuples and
+    mappings, by id."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        if id(obj) not in out:
+            out[id(obj)] = obj
+            for f in fields(obj):
+                _records(getattr(obj, f.name), out)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _records(item, out)
+    elif isinstance(obj, Mapping):
+        for item in obj.values():
+            _records(item, out)
+
+
+def test_cached_records_are_slotted():
+    # the records classify builds and the caches keep carry no per-instance
+    # dict, stay frozen, and still replace and print as plain dataclasses
+    atlas = classify(5, 8)
+    orbit, _ = orbit_pairs(5, 8)[0]
+    d = orbit[0]
+    roots = (
+        atlas, knot(5, 8), orbit, classify_consistency(d), compile_diagram(d),
+        rotation_data(d), cf_expand(knot(5, 8).pair.slope),
+        mountain_range(atlas, 1).points,
+    )
+    found = {}
+    _records(roots, found)
+    records = [r for r in found.values() if not isinstance(r, Knot)]
+    assert {type(r).__name__ for r in records} == {
+        "Atlas", "Structure", "KnotFamilyRecord", "TransverseEntry", "TransverseClass",
+        "PointInfo", "PathPair", "FareyPath", "Block", "Slope", "CFExpansion",
+        "DecoratedPathPair", "ConsistencyClass", "SurgeryDiagram", "Component",
+        "RotationData",
+    }
+    for r in records:
+        assert not hasattr(r, "__dict__"), type(r)
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, fields(r)[0].name, None)
+    fam = atlas.structures[0].families[0]
+    assert repr(fam) == (
+        "KnotFamilyRecord(id='vx', kind='v_vertex', tb_max=29, tb_min=29, "
+        "rot_at_tbmax=0, rot_slope=0, rot_intercept=0, torsion2=0, "
+        "stab_plus='loose', stab_minus='loose', merge_offsets=())"
+    )
+    assert replace(fam, tb_max=30).tb_max == 30 and fam.tb_max == 29
+    # replace reruns __post_init__, which writes the derived fields
+    flipped = replace(d, plus_counts=orbit[-1].plus_counts)
+    assert flipped == orbit[-1] and flipped.signed_counts == orbit[-1].signed_counts
 
 
 def test_max_torsion2_edge_values():

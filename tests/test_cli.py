@@ -138,8 +138,13 @@ def test_mountain_inverted_window_refused(capsys):
 
 
 def test_malformed_decoration_refused(capsys):
-    # a chunk without ':' gets the format message, not a dict() error
-    for verb, text in (("surgery", "P1++|P2:+++"), ("invariants", "P1:++|P2")):
+    # a chunk without ':' gets the format message, not a dict() error, and
+    # so does a repeated side, which is refused rather than overwritten
+    for verb, text in (
+        ("surgery", "P1++|P2:+++"),
+        ("invariants", "P1:++|P2"),
+        ("surgery", "P1:--|P1:++|P2:+++"),
+    ):
         code, out, err = run(capsys, verb, "5", "8", "--decoration", text)
         assert (code, out) == (1, "")
         assert err.splitlines() == [

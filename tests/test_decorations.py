@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nonloose.atlas import classify
 from nonloose.decorations import (
     DecoratedPathPair,
     _climb,
@@ -224,10 +225,20 @@ def grouped_orbit_pairs(p, q):
     return pairs
 
 
+def paired_orbits(p, q):
+    """orbit_pairs as (orbit, mirror) pairs in their order, each mirror
+    orbit built by negating the climbed one."""
+    pairs = []
+    for orbit, mirror_first in orbit_pairs(p, q):
+        mirror = [negate(m) for m in orbit]
+        pairs.append((mirror, orbit) if mirror_first else (orbit, mirror))
+    return pairs
+
+
 def test_orbit_pairs_match_grouping_on_sweep():
     # same pairs, same orientation, same member order on p <= 39, |q| <= 40
     for p, q in knot_range(39, 40):
-        assert orbit_pairs(p, q) == grouped_orbit_pairs(p, q), (p, q)
+        assert paired_orbits(p, q) == grouped_orbit_pairs(p, q), (p, q)
 
 
 @st.composite
@@ -242,7 +253,7 @@ def _class_outside_sweep(draw, qmax=400):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(_class_outside_sweep())
 def test_orbit_pairs_match_grouping_outside_sweep(pq):
-    assert orbit_pairs(*pq) == grouped_orbit_pairs(*pq)
+    assert paired_orbits(*pq) == grouped_orbit_pairs(*pq)
 
 
 def test_climb_steps_shuffle_back_down():
@@ -250,7 +261,7 @@ def test_climb_steps_shuffle_back_down():
     # comes back under shuffle_down (the pq > 0 top included)
     steps = 0
     for p, q in knot_range(39, 40):
-        for pair in orbit_pairs(p, q):
+        for pair in paired_orbits(p, q):
             for orbit in pair:
                 for child, parent in zip(orbit, orbit[1:]):
                     assert shuffle_down(parent) == child, (p, q, child)
@@ -258,10 +269,22 @@ def test_climb_steps_shuffle_back_down():
     assert steps == 9942
 
 
+def test_mirror_strings_match_negated_members():
+    # classify writes each mirror member's string from its plus counts
+    # e_b - c_b; on the p <= 39, |q| <= 40 sweep every structure's orbit
+    # strings equal those of the negated classes, in the old pair order
+    for p, q in knot_range(39, 40):
+        expected = {
+            tuple(decoration_string(m) for m in first + second)
+            for first, second in paired_orbits(p, q)
+        }
+        assert {st.orbits for st in classify(p, q, max_torsion2=2).structures} == expected, (p, q)
+
+
 def _check_climb_commutes_with_negate(p, q):
     # orbit_pairs climbs one orbit of each pair and negates it for the other
     # one; climbing the negated root itself must give the same members
-    for pair in orbit_pairs(p, q):
+    for pair in paired_orbits(p, q):
         for orbit in pair:
             assert _climb(orbit[0]) == orbit, (p, q, orbit[0])
             assert _climb(negate(orbit[0])) == [negate(m) for m in orbit], (p, q, orbit[0])
