@@ -10,12 +10,9 @@ from .atlas import (
     TransverseEntry,
     classify,
     mountain_range,
-    wing_extent,
 )
 from .decorations import (
     DecoratedPathPair,
-    classify_consistency,
-    compatibility_orbit,
     count_m,
     count_n,
     count_totally_2_inconsistent,
@@ -33,11 +30,9 @@ from .farey import (
     cf_value,
     clockwise_neighbor,
     dot,
-    farey_diff,
     farey_sum,
     is_edge,
     make_slope,
-    parse_slope,
 )
 from .invariants import (
     RotationData,

@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .decorations import (
     DecoratedPathPair,
     class_counts,
-    classify_consistency,
     decoration_string,
     mirror_string,
     orbit_pairs,
@@ -99,6 +98,16 @@ class Atlas:
     def structures_at(self, d3_value: int) -> tuple[Structure, ...]:
         return tuple(s for s in self.structures if s.d3 == d3_value)
 
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied: send counts as a
+        # plain dict and wrap it again on the way back
+        return _read_only_atlas, (self.p, self.q, self.max_torsion2, dict(self.counts),
+                                  self.structures, self.transverse)
+
+
+def _read_only_atlas(p, q, max_torsion2, counts, structures, transverse) -> Atlas:
+    return Atlas(p, q, max_torsion2, MappingProxyType(counts), structures, transverse)
+
 
 def _leg(fid, kind, sign, crossing, torsion2, tb_max=UNBOUNDED, tb_min=UNBOUNDED,
          stab=None, merge=()):
@@ -134,16 +143,6 @@ def _point(fid, kind, rot, tb, torsion2, stab_plus, stab_minus, merge=()):
     return KnotFamilyRecord(
         fid, kind, tb, tb, rot, 0, rot, torsion2, stab_plus, stab_minus, tuple(merge)
     )
-
-
-def wing_extent(d: DecoratedPathPair) -> int:
-    """Number of doomed-sign stabilizations that loosen a k-inconsistent
-    member's peak: n_{k-1} of the truncated block ladder."""
-    cc = classify_consistency(d)
-    if cc.kind != "inconsistent":
-        raise ValueError("wing extent is defined for k-inconsistent members")
-    fars = {k: n for k, _, n in block_far_slopes(d.knot.pair)}
-    return fars[cc.i - 1]
 
 
 class _Ladder(NamedTuple):
@@ -204,8 +203,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         # everything read below is the same on the mirror orbit, x -> -x:
         # consistency, d3 (a Gram form), |rot_L| and the split-sign test
         key = orbit[0]
-        cc_key = classify_consistency(key)
-        audit(cc_key.kind == "inconsistent" and cc_key.i == 2, "orbits start 2-inconsistent")
+        audit(key.breaking == 2, "orbits start 2-inconsistent")
         d3_value = ctx.d3(key.signed_counts)
         for m in orbit[1:]:
             audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
@@ -215,7 +213,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         # member t (from 0) of the climb is (t+2)-inconsistent, at key t + 2;
         # a last member without a breaking index is the pq > 0 totally consistent top
         abs_r = {j: abs(ctx.rot_l(m.signed_counts)) for j, m in enumerate(orbit, start=2)}
-        totally2 = cc_key.totally_2_inconsistent
+        totally2 = key.totally2
 
         if orbit[-1].breaking is None:
             audit(pq > 0, "only pq > 0 orbits have a totally consistent top")

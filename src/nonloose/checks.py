@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .atlas import classify, mountain_range, wing_extent
+from .atlas import classify, mountain_range
 from .decorations import (
     DecoratedPathPair,
-    classify_consistency,
     count_m,
     count_n,
     count_totally_2_inconsistent,
@@ -122,7 +121,7 @@ def check_counts(pmax: int = 9, qmax: int = 40):
         two_inc = [d for d in decs if not d.tight and d.breaking == 2]
         if len(two_inc) != 2 * count_n(p, q):
             bad.append(f"({p},{q}) 2-inconsistent count {len(two_inc)} != 2n")
-        t2 = [d for d in decs if classify_consistency(d).totally_2_inconsistent]
+        t2 = [d for d in decs if d.totally2]
         if len(t2) != count_totally_2_inconsistent(p, q):
             bad.append(f"({p},{q}) totally-2-inconsistent count")
         if q < 0:
@@ -249,21 +248,6 @@ def check_atlas(pmax: int = 7, qmax: int = 16, max_torsion2: int = 2):
     return ("atlas invariants", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")
 
 
-def check_wing_extents(pmax: int = 7, qmax: int = 16):
-    bad = []
-    for p, q in knot_classes(pmax, qmax):
-        for d in enumerate_decorations(p, q):
-            if d.tight:
-                continue
-            cc = classify_consistency(d)
-            if cc.kind != "inconsistent":
-                continue
-            fars = {k: n for k, _, n in block_far_slopes(d.knot.pair)}
-            if wing_extent(d) != fars[cc.i - 1]:
-                bad.append(f"({p},{q}) {d}")
-    return ("wing extents", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")
-
-
 ALL_CHECKS = (
     check_farey_roundtrip,
     check_farey_neighbors,
@@ -272,7 +256,6 @@ ALL_CHECKS = (
     check_rotations,
     check_structural,
     check_atlas,
-    check_wing_extents,
 )
 
 

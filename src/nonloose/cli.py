@@ -13,7 +13,6 @@ import sys
 
 from .atlas import classify, mountain_range
 from .decorations import (
-    classify_consistency,
     decoration_string,
     enumerate_decorations,
     parse_decoration,
@@ -22,7 +21,7 @@ from .decorations import (
 from .farey import InvariantError
 from .invariants import cross_check_rot, rotation_data, self_linking
 from .paths import build_pair
-from .surgery import compile_diagram
+from .surgery import compile_diagram, knot_surgery_context
 
 # checks, render and serialize are imported by the verbs that use them, so a
 # CLI run loads only what its verb needs
@@ -140,8 +139,8 @@ def _cmd_paths(args) -> int:
 
 def _cmd_decorations(args) -> int:
     rows = []
+    ctx = knot_surgery_context(args.p, args.q)
     for d in enumerate_decorations(args.p, args.q):
-        cc = classify_consistency(d)
         data = rotation_data(d)
         along_p1, along_p2 = sign_strings(d)
         folded = ",".join(along_p1[::-1] + along_p2)
@@ -149,11 +148,11 @@ def _cmd_decorations(args) -> int:
             {
                 "decoration": decoration_string(d),
                 "tuple": f"({folded})",
-                "consistency": "totally_consistent" if cc.kind == "totally_consistent" else f"{cc.i}-inconsistent",
-                "totally_2_inconsistent": cc.totally_2_inconsistent,
+                "consistency": "totally_consistent" if d.breaking is None else f"{d.breaking}-inconsistent",
+                "totally_2_inconsistent": d.totally2,
                 "tight": d.tight,
                 "R": data.R,
-                "d3": compile_diagram(d).d3,
+                "d3": ctx.d3(d.signed_counts),
             }
         )
     if args.format == "json":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd, prod
 
-from .farey import Slope, audit, make_slope, negative_cf, raw_diff
+from .farey import audit, negative_cf
 from .paths import Knot, knot
 
 
@@ -40,11 +40,12 @@ class DecoratedPathPair:
 
     def __post_init__(self):
         k = knot(self.p, self.q)
-        if len(self.plus_counts) != len(k.sizes):
+        counts = tuple(self.plus_counts)  # a list would leave the record unhashable
+        if len(counts) != len(k.sizes):
             raise ValueError(f"({self.p},{self.q}) has {len(k.sizes)} blocks, "
-                             f"got {len(self.plus_counts)} plus counts")
+                             f"got {len(counts)} plus counts")
         x, signs, breaking = [], [], None
-        for i, (c, e) in enumerate(zip(self.plus_counts, k.sizes)):
+        for i, (c, e) in enumerate(zip(counts, k.sizes)):
             if not 0 <= c <= e:
                 raise ValueError(f"({self.p},{self.q}) block {i + 1}: plus count {c} outside [0, {e}]")
             s = 1 if c == e else -1 if c == 0 else 0
@@ -55,10 +56,16 @@ class DecoratedPathPair:
         # pq < 0 and the truncated blocks, which come first, uniformly one sign
         tight = self.q < 0 and (breaking is None or breaking > len(k.truncated))
         # the record is frozen, so its derived fields are written past __setattr__
-        for name, value in (("knot", k), ("signed_counts", tuple(x)),
+        for name, value in (("plus_counts", counts), ("knot", k), ("signed_counts", tuple(x)),
                             ("block_signs", tuple(signs)), ("breaking", breaking),
                             ("tight", tight)):
             object.__setattr__(self, name, value)
+
+    @property
+    def totally2(self) -> bool:
+        """Totally 2-inconsistent: block 1 uniform, block 2 uniform of the
+        opposite sign."""
+        return self.block_signs[0] != 0 and self.block_signs[1] == -self.block_signs[0]
 
     def __str__(self) -> str:
         return decoration_string(self)
@@ -129,85 +136,15 @@ def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
 
 
 # ---------------------------------------------------------------------------
-# consistency
-
-
-@dataclass(frozen=True, slots=True)
-class ConsistencyClass:
-    kind: str  # "totally_consistent" | "inconsistent"
-    i: int | None  # inconsistency index (>= 2) when kind == "inconsistent"
-    totally_2_inconsistent: bool
-
-
-def classify_consistency(d: DecoratedPathPair) -> ConsistencyClass:
-    signs = d.block_signs
-    t2i = len(signs) >= 2 and signs[0] != 0 and signs[1] == -signs[0]
-    if d.breaking is None:
-        return ConsistencyClass("totally_consistent", None, False)
-    return ConsistencyClass("inconsistent", d.breaking, t2i)
-
-
-# ---------------------------------------------------------------------------
 # compatibility shuffles
 
 
-def _extension_ok(d: DecoratedPathPair, b: int) -> bool:
-    # The edge from the second-to-last vertex of block b-1 to the first
-    # vertex of block b must extend block b's continued fraction block.
-    blocks = d.knot.blocks
-    prev, cur = blocks[b - 2], blocks[b - 1]
-    v_first = cur.vertices[0]
-    v_second_last = prev.vertices[-2]
-    return make_slope(*raw_diff(v_first, v_second_last)) == cur.pivot
-
-
-def shuffle_down(d: DecoratedPathPair) -> DecoratedPathPair | None:
-    """The compatible (i-1)-inconsistent class of an i-inconsistent one (i >= 3).
-
-    Returns None when no such shuffle exists (2-inconsistent input, tight
-    input, or the inconsistency sits in the pq < 0 integer-run suffix).
-    """
-    if d.tight:
-        return None
-    b = d.breaking
-    if b is None:
-        # pq > 0 totally consistent: handled by shuffle_down_from_consistent.
-        return shuffle_down_from_consistent(d) if d.q > 0 else None
-    if b < 3 or b > len(d.knot.truncated):
-        return None
-    audit(_extension_ok(d, b), "shuffle invalidated by block geometry")
-    sigma = d.block_signs[0]
-    audit(sigma != 0, "an i-inconsistent class, i >= 3, starts with a uniform block")
-    sizes = d.knot.sizes
-    new = list(d.plus_counts)
-    for j in range(b - 2):
-        new[j] = 0 if sigma > 0 else sizes[j]
-    new[b - 2] = 1 if sigma > 0 else sizes[b - 2] - 1
-    new[b - 1] += 1 if sigma > 0 else -1
-    audit(0 <= new[b - 1] <= sizes[b - 1], "shuffle overflows block b")
-    out = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(out.breaking == b - 1, "shuffle_down must lower the breaking index by 1")
-    return out
-
-
-def shuffle_down_from_consistent(d: DecoratedPathPair) -> DecoratedPathPair:
-    """pq > 0 only: the maximally inconsistent re-signing of the all-one-sign
-    class (split the final solid-torus prong off P2's last edge)."""
-    if d.q < 0 or d.breaking is not None:
-        raise ValueError("needs the pq > 0 totally consistent class")
-    audit(d.knot.blocks[-1].side == "P2", "last block should sit on P2 for pq > 0")
-    sigma = d.block_signs[0]
-    sizes = d.knot.sizes
-    new = [0 if sigma > 0 else sz for sz in sizes]
-    new[-1] = 1 if sigma > 0 else sizes[-1] - 1
-    out = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(out.breaking == len(sizes), "the re-signing must break at the last block")
-    return out
-
-
 def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
-    """Inverse of shuffle_down, or the totally consistent top when the input
-    is the maximally inconsistent pq > 0 re-signing; None at the orbit top."""
+    """One step up d's compatibility orbit: the class whose shuffle down is
+    d, or the totally consistent top when d is the maximally inconsistent
+    pq > 0 re-signing; None at the orbit top.  Shuffling needs each
+    truncated block b >= 3 to extend across block b - 1, a fact about the
+    knot that decompose_blocks audits once."""
     if d.tight:
         return None
     b = d.breaking
@@ -229,7 +166,7 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
     if not blocks[b].in_truncation:
         return None
     # the parent has blocks 1..b uniformly -tau and one fewer (-tau)-edge in
-    # block b+1; shuffle_down maps it back to d
+    # block b+1; shuffling it down gives d back
     new = list(d.plus_counts)
     for j in range(b):
         new[j] = 0 if tau > 0 else sizes[j]
@@ -237,7 +174,6 @@ def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
     if not 0 <= new[b] <= sizes[b]:
         return None
     parent = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(_extension_ok(parent, b + 1), "shuffle invalidated by block geometry")
     audit(parent.breaking == b + 1, "shuffle_up must raise the breaking index by 1")
     return parent
 
@@ -248,17 +184,6 @@ def _climb(d: DecoratedPathPair) -> list[DecoratedPathPair]:
     while (up := _shuffle_up(chain[-1])) is not None:
         chain.append(up)
     return chain
-
-
-def compatibility_orbit(d: DecoratedPathPair) -> list[DecoratedPathPair]:
-    """All classes compatible with d: one k-inconsistent member per k, ordered
-    by k, with the pq > 0 totally consistent top (when present) last.  A
-    tight class is its own orbit."""
-    below = []
-    cur = d
-    while (cur := shuffle_down(cur)) is not None:
-        below.append(cur)
-    return below[::-1] + _climb(d)
 
 
 def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], bool]]:
@@ -304,18 +229,10 @@ def _lower_digits(v: Fraction) -> list[int]:
     return negative_cf(1 / (v - ceil(v)))
 
 
-def _tight_count(digits: list[int]) -> int:
-    return abs(prod(x + 1 for x in digits[:-1]) * digits[-1])
-
-
-def _ab_digits(p: int, q: int) -> tuple[list[int], list[int]]:
-    v = Fraction(q, p)
-    return _upper_digits(v), _lower_digits(v)
-
-
 def class_counts(p: int, q: int) -> tuple[int, int, int]:
     """(m, n, totally2) of (p,q) from one pass over its two digit strings."""
-    a, b = _ab_digits(p, q)
+    v = Fraction(q, p)
+    a, b = _upper_digits(v), _lower_digits(v)
     lead = abs(prod(x + 1 for x in a[:-1]) * prod(x + 1 for x in b[:-1]))
     return (lead * abs(a[-1] * b[-1]), lead * abs((a[-1] + 1) * (b[-1] + 1)), 2 * lead)
 
@@ -332,22 +249,6 @@ def count_n(p: int, q: int) -> int:
 
 def count_totally_2_inconsistent(p: int, q: int) -> int:
     return class_counts(p, q)[2]
-
-
-def tight_count_solid_torus_upper(r: Slope) -> int:
-    """|Tight(S^0; r)|: solid torus with upper meridian 0, dividing slope r."""
-    if r.is_infinite or abs(r.as_fraction()) <= 1:
-        raise ValueError("dividing slope must be finite with |r| > 1")
-    return _tight_count(_upper_digits(r.as_fraction()))
-
-
-def tight_count_solid_torus_lower(r: Slope) -> int:
-    """|Tight(S_inf; r)|: solid torus with lower meridian infinity."""
-    if r.is_infinite:
-        raise ValueError("dividing slope must be finite")
-    if r.is_integer:
-        return 1
-    return _tight_count(_lower_digits(r.as_fraction()))
 
 
 def tight_count_lens(p: int, q: int) -> int:

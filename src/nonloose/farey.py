@@ -74,16 +74,6 @@ def make_slope(num: int, den: int) -> Slope:
     return Slope(num // g, den // g)
 
 
-def parse_slope(text: str) -> Slope:
-    text = text.strip()
-    if text in ("inf", "-inf", "oo"):
-        return INFINITY
-    if "/" in text:
-        a, b = text.split("/")
-        return make_slope(int(a), int(b))
-    return make_slope(int(text), 1)
-
-
 def dot(a: Slope, b: Slope) -> int:
     """The pairing a/b . c/d = ad - bc (minimal intersection number up to sign)."""
     return a.num * b.den - a.den * b.num
@@ -91,13 +81,6 @@ def dot(a: Slope, b: Slope) -> int:
 
 def farey_sum(a: Slope, b: Slope) -> Slope:
     return make_slope(a.num + b.num, a.den + b.den)
-
-
-def farey_diff(a: Slope, b: Slope) -> Slope:
-    num, den = a.num - b.num, a.den - b.den
-    if num == 0 and den == 0:
-        raise ValueError(f"farey_diff({a}, {b}) is indeterminate")
-    return make_slope(num, den)
 
 
 def raw_diff(a: Slope, b: Slope) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decorations import DecoratedPathPair, classify_consistency
+from .decorations import DecoratedPathPair
 from .surgery import knot_surgery_context
 
 
@@ -42,7 +42,7 @@ def half_lutz_d3(d: DecoratedPathPair) -> int:
     """d3 after a half Lutz twist along the transverse push-off of the
     negative-stabilization-closed representative; only totally
     2-inconsistent classes carry the half-integer torsion families."""
-    if not classify_consistency(d).totally_2_inconsistent:
+    if not d.totally2:
         raise ValueError("half Lutz twist families need a totally 2-inconsistent class")
     ctx = knot_surgery_context(d.p, d.q)
     base = ctx.d3(d.signed_counts)

@@ -178,6 +178,10 @@ def decompose_blocks(pair: PathPair) -> Knot:
     The length-1 leading block gets index 1; for the -(2n+1)/2 tie both
     leading blocks have length 1 and P2 goes first (fixed convention).
     The pq < 0 integer run beyond ceil(q/p) is indexed after everything else.
+    Every truncated block b >= 3 extends across block b - 1: the edge from
+    the second-to-last vertex of block b - 1 to the first vertex of block b
+    has block b's Farey difference, so a sign can shuffle between the two
+    blocks; this is audited here, once per knot, for every class's shuffles.
     A block's rotation weight is -dd on P1 and dn on P2, (dn, dd) the
     un-reduced Farey difference its edges share; r_m and r_n are the sums of
     w_b x_b over P1 and P2, so as |x_b| <= e_b auditing sum |w_b| e_b <= p - 1
@@ -209,6 +213,9 @@ def decompose_blocks(pair: PathPair) -> Knot:
         verts, pivot = source[j]
         blocks.append(Block(k + 1, side, verts, pivot, True))
     truncated = tuple(blocks)
+    for prev, cur in zip(truncated[1:], truncated[2:]):
+        audit(make_slope(*raw_diff(cur.vertices[0], prev.vertices[-2])) == cur.pivot,
+              f"({pair.p},{pair.q}) block {cur.index} does not extend across block {prev.index}")
     for verts, pivot in suffix:
         blocks.append(Block(len(blocks) + 1, "P2", verts, pivot, False))
 

@@ -11,7 +11,6 @@ from nonloose.checks import (
     check_counts,
     check_rotations,
     check_structural,
-    knot_classes,
 )
 from nonloose.invariants import parity_ok
 from nonloose.surgery import knot_surgery_context
@@ -212,20 +211,18 @@ def test_criterion_6_counting():
     _ok(6, "counting formulas over |q| <= 40")
 
 
-def test_criterion_7_structural_identities():
+def test_criterion_7_structural_identities(sweep_atlases):
     name, ok, detail = check_structural(PMAX, QMAX)
     assert ok, detail
-    for p, q in knot_classes(PMAX, QMAX):
-        atlas = classify(p, q, max_torsion2=2)
+    for (p, q), atlas in sweep_atlases.items():
         for st in atlas.structures:
             assert parity_ok(p * q > 0, st.half_integer_torsion, st.d3)
     _ok(7, "structural d3 identities and parity law")
 
 
-def test_criterion_8_bennequin_bound():
-    for p, q in knot_classes(PMAX, QMAX):
+def test_criterion_8_bennequin_bound(sweep_atlases):
+    for (p, q), atlas in sweep_atlases.items():
         bound = abs(p * q) - p - abs(q)
-        atlas = classify(p, q, max_torsion2=2)
         for st in atlas.structures:
             for f in st.families:
                 assert _family_bound_excess(f, p * q) <= bound, (p, q, st.d3, f.id)

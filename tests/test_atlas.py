@@ -1,6 +1,8 @@
 """Atlas assembly: structures, families, transverse quotient, ranges."""
 
+import copy
 import json
+import pickle
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from math import gcd
@@ -12,10 +14,9 @@ from nonloose.atlas import (
     classify,
     default_window,
     mountain_range,
-    wing_extent,
 )
 from nonloose.cli import main
-from nonloose.decorations import classify_consistency, orbit_pairs, parse_decoration
+from nonloose.decorations import orbit_pairs
 from nonloose.farey import cf_expand
 from nonloose.invariants import rotation_data
 from nonloose.paths import Knot, knot
@@ -178,17 +179,6 @@ def test_2n_minus_1_family():
             assert leg_laws(half) == [(-1, -(2 * l + 1)), (1, 2 * l + 1)]
 
 
-def test_wing_extent_op():
-    d = parse_decoration(5, 8, "P1:+-|P2:++-")  # 3-inconsistent, xi_1 orbit
-    assert wing_extent(d) == 2
-    d = parse_decoration(5, 8, "P1:--|P2:--+")  # 4-inconsistent member
-    assert wing_extent(d) == 3
-    d = parse_decoration(5, 8, "P1:-+|P2:+--")  # 2-inconsistent
-    assert wing_extent(d) == 1
-    d = parse_decoration(5, -8, "P1:--|P2:-+")  # 3-inconsistent, xi_2 orbit
-    assert wing_extent(d) == 2
-
-
 def test_transverse_58():
     trans = transverse_map(classify(5, 8, max_torsion2=2))
     assert sorted(trans) == [-27, -19, -15, -9, -8, -7, -4, -3, -2, -1, 0]
@@ -307,6 +297,22 @@ def test_cached_counts_read_only():
         atlas_from_dict(atlas_to_dict(atlas)).counts["n"] = -1
 
 
+@pytest.mark.parametrize("proto", [*range(pickle.HIGHEST_PROTOCOL + 1), "deepcopy"])
+def test_atlas_pickles_and_deep_copies(proto):
+    # an atlas can cross a process boundary; its copy's counts stay read-only
+    for p, q in ((5, 8), (5, -8), (2, -3)):
+        atlas = classify(p, q)
+        if proto == "deepcopy":
+            twin = copy.deepcopy(atlas)
+        else:
+            twin = pickle.loads(pickle.dumps(atlas, proto))
+        assert twin == atlas and twin is not atlas
+        assert atlas_to_dict(twin) == atlas_to_dict(atlas)
+        with pytest.raises(TypeError):
+            twin.counts["n"] = -1
+        assert twin.counts == atlas.counts
+
+
 def _records(obj, out):
     """Every dataclass record reachable from obj through fields, tuples and
     mappings, by id."""
@@ -330,7 +336,7 @@ def test_cached_records_are_slotted():
     orbit, _ = orbit_pairs(5, 8)[0]
     d = orbit[0]
     roots = (
-        atlas, knot(5, 8), orbit, classify_consistency(d), compile_diagram(d),
+        atlas, knot(5, 8), orbit, compile_diagram(d),
         rotation_data(d), cf_expand(knot(5, 8).pair.slope),
         mountain_range(atlas, 1).points,
     )
@@ -340,7 +346,7 @@ def test_cached_records_are_slotted():
     assert {type(r).__name__ for r in records} == {
         "Atlas", "Structure", "KnotFamilyRecord", "TransverseEntry", "TransverseClass",
         "PointInfo", "PathPair", "FareyPath", "Block", "Slope", "CFExpansion",
-        "DecoratedPathPair", "ConsistencyClass", "SurgeryDiagram", "Component",
+        "DecoratedPathPair", "SurgeryDiagram", "Component",
         "RotationData",
     }
     for r in records:

@@ -156,7 +156,7 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--pmax", "3", "--qmax", "8")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
+    assert len(lines) == 7 and all(l.startswith("PASS") for l in lines)
 
 
 def test_classify_deterministic_across_processes():

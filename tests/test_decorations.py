@@ -6,12 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nonloose.atlas import classify
 from nonloose.decorations import (
     DecoratedPathPair,
     _climb,
-    classify_consistency,
-    compatibility_orbit,
     count_m,
     count_n,
     count_totally_2_inconsistent,
@@ -20,13 +17,16 @@ from nonloose.decorations import (
     negate,
     orbit_pairs,
     parse_decoration,
-    shuffle_down,
     tight_count_lens,
+)
+from nonloose.paths import build_pair, decompose_blocks
+from oracles import (
+    compatibility_orbit,
+    parse_slope,
+    shuffle_down,
     tight_count_solid_torus_lower,
     tight_count_solid_torus_upper,
 )
-from nonloose.paths import build_pair, decompose_blocks
-from nonloose.farey import parse_slope
 
 
 def knot_range(pmax, qmax):
@@ -85,14 +85,9 @@ def test_counts_exhaustive():
     for p, q in knot_range(7, 40):
         decs = enumerate_decorations(p, q)
         assert len(decs) == count_m(p, q)
-        two_inc = [
-            d for d in decs
-            if not d.tight
-            and classify_consistency(d).kind == "inconsistent"
-            and classify_consistency(d).i == 2
-        ]
+        two_inc = [d for d in decs if not d.tight and d.breaking == 2]
         assert len(two_inc) == 2 * count_n(p, q)
-        t2 = [d for d in decs if classify_consistency(d).totally_2_inconsistent]
+        t2 = [d for d in decs if d.totally2]
         assert len(t2) == count_totally_2_inconsistent(p, q)
 
 
@@ -138,22 +133,13 @@ def test_consistency_golden_58():
         "P1:--|P2:+-+": 2,
     }
     for text, degree in cases.items():
-        d = parse_decoration(5, 8, text)
-        cc = classify_consistency(d)
-        if degree is None:
-            assert cc.kind == "totally_consistent"
-        else:
-            assert (cc.kind, cc.i) == ("inconsistent", degree)
+        assert parse_decoration(5, 8, text).breaking == degree, text
 
 
 def test_totally_2_inconsistent_flag():
     flagged = {"P1:+-|P2:--+", "P1:-+|P2:++-", "P1:--|P2:++-", "P1:--|P2:+++",
                "P1:++|P2:---", "P1:++|P2:--+", "P1:-+|P2:+++", "P1:+-|P2:---"}
-    got = {
-        decoration_string(d)
-        for d in enumerate_decorations(5, 8)
-        if classify_consistency(d).totally_2_inconsistent
-    }
+    got = {decoration_string(d) for d in enumerate_decorations(5, 8) if d.totally2}
     assert got == flagged
 
 
@@ -188,8 +174,7 @@ def test_orbit_partition():
             orbit = compatibility_orbit(d)
             ks = []
             for m in orbit:
-                cc = classify_consistency(m)
-                ks.append(0 if cc.kind == "totally_consistent" else cc.i)
+                ks.append(m.breaking or 0)
                 key = tuple(orbit[0].plus_counts)
                 prev = seen.setdefault(m.plus_counts, key)
                 assert prev == key, "orbits must be disjoint"
@@ -269,16 +254,16 @@ def test_climb_steps_shuffle_back_down():
     assert steps == 9942
 
 
-def test_mirror_strings_match_negated_members():
+def test_mirror_strings_match_negated_members(sweep_atlases):
     # classify writes each mirror member's string from its plus counts
     # e_b - c_b; on the p <= 39, |q| <= 40 sweep every structure's orbit
     # strings equal those of the negated classes, in the old pair order
-    for p, q in knot_range(39, 40):
+    for (p, q), atlas in sweep_atlases.items():
         expected = {
             tuple(decoration_string(m) for m in first + second)
             for first, second in paired_orbits(p, q)
         }
-        assert {st.orbits for st in classify(p, q, max_torsion2=2).structures} == expected, (p, q)
+        assert {st.orbits for st in atlas.structures} == expected, (p, q)
 
 
 def _check_climb_commutes_with_negate(p, q):
@@ -342,6 +327,13 @@ def test_malformed_class_rejected_at_construction():
     DecoratedPathPair(5, 8, (1, 2, 1, 1))
 
 
+def test_list_plus_counts_give_the_tuple_class():
+    d = DecoratedPathPair(5, 8, [0, 1, 0, 1])
+    assert d.plus_counts == (0, 1, 0, 1)
+    assert d == DecoratedPathPair(5, 8, (0, 1, 0, 1))
+    assert hash(d) == hash(DecoratedPathPair(5, 8, (0, 1, 0, 1)))
+
+
 def test_decoration_parse_roundtrip():
     for p, q in [(5, 8), (5, -8), (2, -5)]:
         for d in enumerate_decorations(p, q):
@@ -358,4 +350,4 @@ def test_nonloose_decorations_2_minus_odd():
         q = -(2 * n + 1)
         decs = [d for d in enumerate_decorations(2, q) if not d.tight]
         assert len(decs) == 2 * n
-        assert all(classify_consistency(d).totally_2_inconsistent for d in decs)
+        assert all(d.totally2 for d in decs)

@@ -12,12 +12,11 @@ from nonloose.farey import (
     clockwise_neighbor,
     cw_ordered,
     dot,
-    farey_diff,
     farey_sum,
     is_edge,
     make_slope,
-    parse_slope,
 )
+from oracles import farey_diff, parse_slope
 
 
 def S(text):

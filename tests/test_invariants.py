@@ -121,9 +121,7 @@ def test_rotation_injective_per_class():
 def test_half_lutz_58():
     shifts = {}
     for d in enumerate_decorations(5, 8):
-        from nonloose.decorations import classify_consistency
-
-        if classify_consistency(d).totally_2_inconsistent:
+        if d.totally2:
             shifts[compile_diagram(d).d3] = half_lutz_d3(d)
     assert shifts == {-9: -8, -15: -4, -19: -2, -27: 0}
 
@@ -131,9 +129,7 @@ def test_half_lutz_58():
 def test_half_lutz_5m8():
     shifts = {}
     for d in enumerate_decorations(5, -8):
-        from nonloose.decorations import classify_consistency
-
-        if classify_consistency(d).totally_2_inconsistent:
+        if d.totally2:
             shifts[compile_diagram(d).d3] = half_lutz_d3(d)
     assert shifts == {14: 7, 28: 1}
 

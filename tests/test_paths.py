@@ -8,8 +8,9 @@ import pytest
 
 from nonloose import atlas
 from nonloose.decorations import DecoratedPathPair
-from nonloose.farey import dot, is_edge, parse_slope
+from nonloose.farey import InvariantError, dot, is_edge
 from nonloose.paths import (
+    PathPair,
     block_far_slopes,
     build_pair,
     decompose_blocks,
@@ -17,6 +18,7 @@ from nonloose.paths import (
     p2_truncated,
 )
 from nonloose.surgery import knot_surgery_context
+from oracles import parse_slope
 
 
 def verts(path):
@@ -288,3 +290,24 @@ def test_knot_record_cached_bounded_and_frozen():
                          (d, "plus_counts"), (d, "breaking")):
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, None)
+
+
+def test_block_extension_audited_per_knot():
+    # (5,8)'s P1 beside the trefoil's P2 passes the other audits of the
+    # decomposition, but block 3 does not extend across block 2, so no sign
+    # could shuffle between them: decompose_blocks refuses the knot, also
+    # with asserts stripped
+    import subprocess
+    import sys
+
+    with pytest.raises(InvariantError, match="^\\(5,8\\) block 3 does not extend across block 2$"):
+        decompose_blocks(PathPair(5, 8, build_pair(5, 8).p1, build_pair(2, 3).p2))
+    code = (
+        "from nonloose.paths import PathPair, build_pair, decompose_blocks; "
+        "decompose_blocks(PathPair(5, 8, build_pair(5, 8).p1, build_pair(2, 3).p2))"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines()[-1] == (
+        "nonloose.farey.InvariantError: (5,8) block 3 does not extend across block 2"
+    )
