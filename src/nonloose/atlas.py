@@ -12,6 +12,8 @@ convex torsion stays integral.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -19,15 +21,9 @@ from sys import intern
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .decorations import (
-    DecoratedPathPair,
-    class_counts,
-    decoration_string,
-    mirror_string,
-    orbit_pairs,
-)
+from .decorations import class_counts, orbit_climbs
 from .farey import Slope, audit, dot, farey_sum
-from .invariants import half_lutz_d3, parity_ok
+from .invariants import half_lutz_shift, parity_ok
 from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
 
@@ -165,14 +161,20 @@ def _merge_offset(ladder: _Ladder, j: int) -> int:
     return 2 * abs(dot(s_new, ladder.slope))
 
 
-def _uniform_side_signs(d: DecoratedPathPair):
-    """(sign of P1, sign of P2) when every block is uniform and each side
-    carries a single sign (suffix included); None otherwise."""
-    sides = {}
-    for b, s in zip(d.knot.blocks, d.block_signs):
-        if s == 0 or sides.setdefault(b.side, s) != s:
-            return None
-    return sides["P1"], sides["P2"]
+def _labels(k):
+    """(label, mirror_label): the decoration string of the class with a
+    given plus-count tuple, and of its mirror (plus counts e_b - c_b), joined
+    from one per-knot table of "+"*c + "-"*(e_b - c) per block."""
+    rows = [tuple("+" * c + "-" * (e - c) for c in range(e + 1)) for e in k.sizes]
+    p1, p2 = ([(i, rows[i]) for i, b in enumerate(k.blocks) if b.side == side] for side in ("P1", "P2"))
+
+    def label(c):
+        return "".join(["P1:", *[row[c[i]] for i, row in p1], "|P2:", *[row[c[i]] for i, row in p2]])
+
+    def mirror_label(c):  # row[~c] = row[e - c]
+        return "".join(["P1:", *[row[~c[i]] for i, row in p1], "|P2:", *[row[~c[i]] for i, row in p2]])
+
+    return label, mirror_label
 
 
 def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
@@ -186,43 +188,77 @@ def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
     return _classify_cached(p, q, max_torsion2)
 
 
+MAX_ATLAS_BYTES = 64_000_000
+
+
+def _atlas_bytes(k, m: int, t2: int, max_torsion2: int) -> int:
+    """A closed-form estimate, O(k), of the atlas-v1 JSON size in bytes, on
+    the high side: every non-tight class is one orbit string of sum(e_b) + 16
+    bytes (the totally 2-inconsistent ones a second time, in their half-Lutz
+    structure), and every class and every torsion level of every totally
+    2-inconsistent class carries at most about 1 KB of family records."""
+    return (m + t2) * (sum(k.sizes) + 16) + 1024 * (m + t2 * (max_torsion2 + 2))
+
+
 @lru_cache(maxsize=1024)
 def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
-    pair = knot(p, q).pair
+    k = knot(p, q)
+    m_count, n_count, t2_count = class_counts(p, q)
+    # refuse an oversize atlas before any orbit is climbed
+    limit = int(os.environ.get("ATLAS_MAX_BYTES") or MAX_ATLAS_BYTES)
+    if (size := _atlas_bytes(k, m_count, t2_count, max_torsion2)) > limit:
+        raise ValueError(
+            f"({p},{q}) at max_torsion2 = {max_torsion2} makes about {size} bytes of "
+            f"atlas-v1 JSON, above the limit of {limit}; lower --max-torsion2 or "
+            "raise ATLAS_MAX_BYTES"
+        )
+    pair = k.pair
     pq = p * q
     sgn = 1 if pq > 0 else -1
     bound = abs(pq) - p - abs(q)
     ctx = knot_surgery_context(p, q)
     ladder = _ladder(pair)
-    pairs = orbit_pairs(p, q)
+    # per knot: rot_L along the climb from a root (member t has blocks
+    # 1..t+1 of sign -1 for even t, +1 for odd t), and the merge offsets
+    rot_climb, b, tau = [0], 2, -1
+    while (b, tau) in ctx.steps:
+        rot_climb.append(rot_climb[-1] + ctx.steps[b, tau])
+        b, tau = b + 1, -tau
+    offsets = {j: _merge_offset(ladder, j) for j in range(2, len(rot_climb) + 1)}
+    label, mirror_label = _labels(k)
+    # the one root with uniform blocks and opposite signs on the two sides:
+    # block 1's side all -, the other all +
+    split = tuple(0 if blk.side == k.blocks[0].side else e for blk, e in zip(k.blocks, k.sizes))
+    pairs = orbit_climbs(p, q)
 
     structures: list[Structure] = []
     transverse: list[TransverseEntry] = []
 
     for orbit, mirror_first in pairs:
         # everything read below is the same on the mirror orbit, x -> -x:
-        # consistency, d3 (a Gram form), |rot_L| and the split-sign test
+        # consistency, d3 (a Gram form), |rot_L| and the split-sign test.
+        # d3 and rot_L are read at the root; the per-knot step audits make
+        # d3 constant along the climb and give rot_L by prefix sums
         key = orbit[0]
-        audit(key.breaking == 2, "orbits start 2-inconsistent")
-        d3_value = ctx.d3(key.signed_counts)
-        for m in orbit[1:]:
-            audit(ctx.d3(m.signed_counts) == d3_value, "orbit d3 drift")
-        strings = [decoration_string(m) for m in orbit]
-        mirrors = [mirror_string(m) for m in orbit]
+        audit(len(orbit) <= len(rot_climb), "the climb took a step the step table lacks")
+        x = tuple(2 * c - e for c, e in zip(key, k.sizes))
+        d3_value = ctx.d3(x)
+        rot_key = ctx.rot_l(x)
+        strings = [label(m) for m in orbit]
+        mirrors = [mirror_label(m) for m in orbit]
         orbit_strings = tuple(mirrors + strings if mirror_first else strings + mirrors)
         # member t (from 0) of the climb is (t+2)-inconsistent, at key t + 2;
-        # a last member without a breaking index is the pq > 0 totally consistent top
-        abs_r = {j: abs(ctx.rot_l(m.signed_counts)) for j, m in enumerate(orbit, start=2)}
-        totally2 = key.totally2
+        # an orbit with one member per block ends at the pq > 0 totally consistent top
+        abs_r = {j: abs(rot_key + r) for j, r in zip(range(2, len(orbit) + 2), rot_climb)}
+        totally2 = key[1] == k.sizes[1]
 
-        if orbit[-1].breaking is None:
+        if len(orbit) == len(k.sizes):
             audit(pq > 0, "only pq > 0 orbits have a totally consistent top")
-            structures.append(_exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r))
+            structures.append(_exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r))
             continue
 
-        uniform = _uniform_side_signs(key)
-        exceptional_neg = pq < 0 and uniform is not None and uniform[0] == -uniform[1]
-        special_pos = pq > 0 and uniform is not None and uniform[0] == -uniform[1]
+        exceptional_neg = pq < 0 and key == split
+        special_pos = pq > 0 and key == split
         if exceptional_neg:
             audit(d3_value == bound + 1, "exceptional pq < 0 d3 must be |pq| - p - |q| + 1")
         if special_pos:
@@ -236,7 +272,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             audit(crossing == bound, "the exceptional X crosses at the Bennequin bound")
 
         st, tr = _generic_structure(
-            pair, ladder, d3_value, orbit_strings, abs_r, crossing,
+            pair, ladder, offsets, d3_value, orbit_strings, abs_r, crossing,
             totally2, exceptional_neg, special_pos, max_torsion2,
         )
         structures.append(st)
@@ -244,7 +280,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
 
         if totally2:
             st2, tr2 = _half_lutz_structure(
-                pair, key, d3_value, orbit_strings, abs_r[2], special_pos, max_torsion2
+                pair, d3_value, orbit_strings, abs_r[2], special_pos, max_torsion2
             )
             structures.append(st2)
             transverse.append(tr2)
@@ -255,9 +291,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     structures.sort(key=lambda s: (-s.d3, s.half_integer_torsion, s.orbits))
     transverse.sort(key=lambda t: (-t.d3, [ (c.sl, c.torsion2) for c in t.classes ]))
 
-    by_d3: dict[int, int] = {}
-    for st in structures:
-        by_d3[st.d3] = by_d3.get(st.d3, 0) + 1
+    by_d3 = Counter(st.d3 for st in structures)
     final = []
     for st in structures:
         if by_d3[st.d3] > 1:
@@ -268,14 +302,13 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             st = replace(st, notes=st.notes + (note,))
         final.append(st)
 
-    m_count, n_count, t2_count = class_counts(p, q)
     audit(len(pairs) == n_count, "orbit pairs must number n(p,q)")
     audit(len(final) == n_count + t2_count // 2, "structures must number n + totally2/2")
     counts = MappingProxyType({"m": m_count, "n": n_count, "totally2": t2_count})
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
-def _exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r) -> Structure:
+def _exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r) -> Structure:
     p, q, pq = pair.p, pair.q, pair.p * pair.q
     audit(d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1")
     vertex = pq - p - q + 2
@@ -292,7 +325,7 @@ def _exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r) -> Struc
     top = max(abs_r)
     for j in range(3, top + 1):
         r = abs_r[j]
-        offset = _merge_offset(ladder, j - 1)
+        offset = offsets[j - 1]
         audit(prev_abs - r == offset, "diamond peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         for sign, tag in ((+1, "+"), (-1, "-")):
@@ -315,7 +348,7 @@ def _exceptional_positive(pair, ladder, d3_value, orbit_strings, abs_r) -> Struc
 
 
 def _generic_structure(
-    pair, ladder, d3_value, orbit_strings, abs_r, crossing,
+    pair, ladder, offsets, d3_value, orbit_strings, abs_r, crossing,
     totally2, exceptional_neg, special_pos, max_torsion2,
 ):
     p, q, pq = pair.p, pair.q, pair.p * pair.q
@@ -331,7 +364,7 @@ def _generic_structure(
     prev_abs = abs_r[2]
     for j in range(3, len(abs_r) + 2):
         r = abs_r[j]
-        offset = _merge_offset(ladder, j - 1)
+        offset = offsets[j - 1]
         audit(abs(r - prev_abs) == offset, "wing peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         inner_plus = "x+" if j == 3 else f"w{j-1}+"
@@ -415,10 +448,10 @@ def _transverse_levels(special_pos: bool, half_side: bool, max_torsion2: int):
 
 
 def _half_lutz_structure(
-    pair, key, d3_value, orbit_strings, abs_r2, special_pos, max_torsion2
+    pair, d3_value, orbit_strings, abs_r2, special_pos, max_torsion2
 ):
     p, q, pq = pair.p, pair.q, pair.p * pair.q
-    lutz_d3 = half_lutz_d3(key)
+    lutz_d3 = half_lutz_shift(pq, d3_value, abs_r2)
     crossing = abs_r2 - pq if pq > 0 else -pq - abs_r2
     threshold = pq - p - q if special_pos else None
     fams: list[KnotFamilyRecord] = []

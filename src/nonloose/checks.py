@@ -11,12 +11,12 @@ from math import gcd
 
 from .atlas import classify, mountain_range
 from .decorations import (
-    DecoratedPathPair,
     count_m,
     count_n,
     count_totally_2_inconsistent,
     enumerate_decorations,
-    negate,
+    parse_decoration,
+    sign_strings,
     tight_count_lens,
 )
 from .farey import (
@@ -30,7 +30,7 @@ from .farey import (
     is_edge,
     make_slope,
 )
-from .invariants import parity_ok, rotation_data
+from .invariants import half_lutz_d3, parity_ok, rotation_data
 from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
 
@@ -135,16 +135,23 @@ def check_counts(pmax: int = 9, qmax: int = 40):
 
 
 def check_rotations(pmax: int = 9, qmax: int = 40):
-    """Farey rotation = surgery rotation, and injectivity per knot class."""
+    """R from the per-block weights against R summed edge by edge over the
+    class's sign strings (r_m: -dd along P1, r_n: dn along P2), and
+    injectivity per knot class."""
     bad = []
     for p, q in knot_classes(pmax, qmax):
-        ctx = knot_surgery_context(p, q)
+        pair = knot(p, q).pair
+        # -dd on each P1 edge and dn on each P2 edge, (dn, dd) its Farey difference
+        along_p1 = [a.den - b.den for a, b in zip(pair.p1.vertices, pair.p1.vertices[1:])]
+        along_p2 = [b.num - a.num for a, b in zip(pair.p2.vertices, pair.p2.vertices[1:])]
         seen = set()
         for d in enumerate_decorations(p, q):
             big_r = rotation_data(d).R
-            surg = ctx.rot_l(d.signed_counts)
-            if big_r != surg:
-                bad.append(f"({p},{q}) {d} {big_r} != {surg}")
+            signs1, signs2 = sign_strings(d)
+            r_m = sum(w if s == "+" else -w for w, s in zip(along_p1, signs1, strict=True))
+            r_n = sum(w if s == "+" else -w for w, s in zip(along_p2, signs2, strict=True))
+            if big_r != p * r_n + q * r_m:
+                bad.append(f"({p},{q}) {d} R = {big_r}, edge sums give {p * r_n + q * r_m}")
             if big_r in seen:
                 bad.append(f"({p},{q}) rot collision {big_r}")
             seen.add(big_r)
@@ -152,26 +159,30 @@ def check_rotations(pmax: int = 9, qmax: int = 40):
 
 
 def check_structural(pmax: int = 9, qmax: int = 40):
+    """d3 of the all-same-sign and split classes, and, for every orbit of
+    every structure classify reports, d3 evaluated at each member (the
+    half-Lutz d3 on the half-integer structures) against the structure's
+    d3, which classify reads once, at the orbit root."""
     bad = []
     for p, q in knot_classes(pmax, qmax):
         pq = p * q
         ctx = knot_surgery_context(p, q)
         k = knot(p, q)
-        all_plus = DecoratedPathPair(p, q, k.sizes)
-        all_minus = DecoratedPathPair(p, q, tuple(0 for _ in k.sizes))
-        expect = 1 if pq > 0 else 0
-        for d in (all_plus, all_minus):
-            if ctx.d3(d.signed_counts) != expect:
-                bad.append(f"({p},{q}) all-same-signs d3")
-        split = tuple(e if b.side == "P1" else 0 for e, b in zip(k.sizes, k.blocks))
-        d_split = DecoratedPathPair(p, q, split)
-        expect_split = -pq + p + q if pq > 0 else abs(pq) - p - abs(q) + 1
-        if ctx.d3(d_split.signed_counts) != expect_split:
+        # signed counts x = +-e_b: all +, all -, and + on P1 with - on P2
+        if {ctx.d3(k.sizes), ctx.d3([-e for e in k.sizes])} != {1 if pq > 0 else 0}:
+            bad.append(f"({p},{q}) all-same-signs d3")
+        split = [e if b.side == "P1" else -e for e, b in zip(k.sizes, k.blocks)]
+        if ctx.d3(split) != (-pq + p + q if pq > 0 else abs(pq) - p - abs(q) + 1):
             bad.append(f"({p},{q}) P1+/P2- d3")
-        for d in enumerate_decorations(p, q):
-            if ctx.d3(d.signed_counts) != ctx.d3(negate(d).signed_counts):
-                bad.append(f"({p},{q}) d3 not mirror invariant")
-                break
+        # d3 and the orbits do not depend on the torsion truncation
+        for st in classify(p, q, 2).structures:
+            members = [parse_decoration(p, q, text) for text in st.orbits]
+            if st.half_integer_torsion:
+                values = {half_lutz_d3(m) for m in members}
+            else:
+                values = {ctx.d3(m.signed_counts) for m in members}
+            if values != {st.d3}:
+                bad.append(f"({p},{q}) orbit of the d3 = {st.d3} structure: member d3 {sorted(values)}")
     return ("structural d3 identities", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd, prod
 
-from .farey import audit, negative_cf
+from .farey import negative_cf
 from .paths import Knot, knot
 
 
@@ -71,30 +71,16 @@ class DecoratedPathPair:
         return decoration_string(self)
 
 
-def _side_signs(k: Knot, plus_counts) -> tuple[str, str]:
+def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
+    """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
     sides = {"P1": "", "P2": ""}
-    for c, e, b in zip(plus_counts, k.sizes, k.blocks):
+    for c, e, b in zip(d.plus_counts, d.knot.sizes, d.knot.blocks):
         sides[b.side] += "+" * c + "-" * (e - c)
     return sides["P1"], sides["P2"]
 
 
-def sign_strings(d: DecoratedPathPair) -> tuple[str, str]:
-    """The edge signs along P1 and P2 (both from q/p outward), canonical order."""
-    return _side_signs(d.knot, d.plus_counts)
-
-
 def decoration_string(d: DecoratedPathPair) -> str:
     return "P1:{}|P2:{}".format(*sign_strings(d))
-
-
-def _mirror_counts(d: DecoratedPathPair) -> tuple[int, ...]:
-    """The plus counts of the mirror class: c_b - x_b = e_b - c_b."""
-    return tuple(e - c for c, e in zip(d.plus_counts, d.knot.sizes))
-
-
-def mirror_string(d: DecoratedPathPair) -> str:
-    """decoration_string(negate(d)), without building the mirror class."""
-    return "P1:{}|P2:{}".format(*_side_signs(d.knot, _mirror_counts(d)))
 
 
 def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
@@ -122,11 +108,6 @@ def parse_decoration(p: int, q: int, text: str) -> DecoratedPathPair:
     return DecoratedPathPair(p, q, tuple(counts))
 
 
-def negate(d: DecoratedPathPair) -> DecoratedPathPair:
-    """The mirror class: every sign flipped, x -> -x."""
-    return DecoratedPathPair(d.p, d.q, _mirror_counts(d))
-
-
 def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
     """All decoration classes, lexicographic over (block index, plus count)."""
     return [
@@ -136,82 +117,55 @@ def enumerate_decorations(p: int, q: int) -> list[DecoratedPathPair]:
 
 
 # ---------------------------------------------------------------------------
-# compatibility shuffles
+# compatibility orbits
 
 
-def _shuffle_up(d: DecoratedPathPair) -> DecoratedPathPair | None:
-    """One step up d's compatibility orbit: the class whose shuffle down is
-    d, or the totally consistent top when d is the maximally inconsistent
-    pq > 0 re-signing; None at the orbit top.  Shuffling needs each
-    truncated block b >= 3 to extend across block b - 1, a fact about the
-    knot that decompose_blocks audits once."""
-    if d.tight:
-        return None
-    b = d.breaking
-    if b is None:
-        return None
-    blocks, sizes = d.knot.blocks, d.knot.sizes
-    tau = d.block_signs[0]
-    if tau == 0:
-        return None
-    # block b must carry exactly one edge signed opposite to tau
-    plus_b = d.plus_counts[b - 1]
-    one_opposite = (sizes[b - 1] - plus_b == 1) if tau > 0 else (plus_b == 1)
-    if not one_opposite:
-        return None
-    if b == len(blocks):
-        if d.q < 0 or blocks[-1].side != "P2":
-            return None
-        return DecoratedPathPair(d.p, d.q, tuple(0 if tau > 0 else sz for sz in sizes))
-    if not blocks[b].in_truncation:
-        return None
-    # the parent has blocks 1..b uniformly -tau and one fewer (-tau)-edge in
-    # block b+1; shuffling it down gives d back
-    new = list(d.plus_counts)
-    for j in range(b):
-        new[j] = 0 if tau > 0 else sizes[j]
-    new[b] = d.plus_counts[b] + (1 if tau > 0 else -1)
-    if not 0 <= new[b] <= sizes[b]:
-        return None
-    parent = DecoratedPathPair(d.p, d.q, tuple(new))
-    audit(parent.breaking == b + 1, "shuffle_up must raise the breaking index by 1")
-    return parent
-
-
-def _climb(d: DecoratedPathPair) -> list[DecoratedPathPair]:
-    """d followed by every class above it in its compatibility orbit."""
-    chain = [d]
-    while (up := _shuffle_up(chain[-1])) is not None:
-        chain.append(up)
-    return chain
-
-
-def orbit_pairs(p: int, q: int) -> list[tuple[list[DecoratedPathPair], bool]]:
+def orbit_climbs(p: int, q: int) -> list[tuple[list[tuple[int, ...]], bool]]:
     """The compatibility orbits of the non-tight classes, paired with their
-    mirrors: n(p,q) pairs, each given as (orbit, mirror_first).
+    mirrors: n(p,q) pairs (members, mirror_first), each member a plus-count
+    tuple; no class record is built.
 
     Every orbit starts at a non-tight 2-inconsistent class (block 1 uniform,
-    block 2 not uniform of the same sign), and negate maps these roots to
-    roots, so one pair grows from each root with block 1 all - and a + in
-    block 2.  `orbit` is that root's climb; climbing commutes with negate,
-    so the mirror orbit is [negate(m) for m in orbit], which callers read
-    through mirror_string without building it.  Member t (from 0) is
-    (t+2)-inconsistent; the last member is the pq > 0 totally consistent
-    top when it has no breaking index.  Within a pair the orbit with the
-    lexicographically lower member comes first (`mirror_first` when that is
-    the mirror), and pairs are ordered by that member: the order in which a
-    walk over enumerate_decorations meets them.
-    """
-    # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
-    sizes = knot(p, q).sizes
+    block 2 not uniform of the same sign), and the mirror c -> e - c maps
+    roots to roots, so one pair grows from each root with block 1 all - and
+    a + in block 2: `members` is its climb, the mirror orbit every member
+    mirrored.  Member t (from 0) breaks at block t + 2, blocks 1..t+1 of
+    sign tau = -1 for even t, +1 for odd t.  While block t + 2 holds exactly
+    one -tau edge the climb steps up: blocks 1..t+2 turn -tau and block
+    t + 3, which must lie in the truncation, gains a tau edge; from the last
+    block a pq > 0 climb steps to the totally consistent top (all -tau), so
+    an orbit reaches the top exactly when it has one member per block.
+    Within a pair the orbit with the lexicographically lower member comes
+    first (`mirror_first` when that is the mirror), and pairs are ordered by
+    that member: the order in which a walk over enumerate_decorations meets
+    them."""
+    k = knot(p, q)
+    sizes, n, truncated = k.sizes, len(k.sizes), len(k.truncated)
+    zeros = (0,) * n
+    top = q > 0 and k.blocks[-1].side == "P2"
     pairs = []
+    # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
     for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
-        orbit = _climb(DecoratedPathPair(p, q, (0, *rest)))
-        lowest = min(m.plus_counts for m in orbit)
-        mirror_lowest = min(map(_mirror_counts, orbit))
-        pairs.append((min(lowest, mirror_lowest), orbit, mirror_lowest < lowest))
+        c = (0, *rest)
+        members = [c]
+        b, tau = 2, -1
+        while (sizes[b - 1] - c[b - 1] if tau > 0 else c[b - 1]) == 1:
+            if b == n:
+                if top:
+                    members.append(zeros if tau > 0 else sizes)
+                break
+            nxt = c[b] + tau
+            if b >= truncated or not 0 <= nxt <= sizes[b]:
+                break
+            c = (zeros if tau > 0 else sizes)[:b] + (nxt,) + c[b + 1 :]
+            members.append(c)
+            b, tau = b + 1, -tau
+        # the mirror's lowest member is the mirror of the highest one
+        lowest = min(members)
+        mirror_lowest = tuple(e - c for e, c in zip(sizes, max(members)))
+        pairs.append((min(lowest, mirror_lowest), members, mirror_lowest < lowest))
     pairs.sort(key=lambda pair: pair[0])
-    return [(orbit, mirror_first) for _, orbit, mirror_first in pairs]
+    return [(members, mirror_first) for _, members, mirror_first in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,12 @@ def half_lutz_d3(d: DecoratedPathPair) -> int:
     if not d.totally2:
         raise ValueError("half Lutz twist families need a totally 2-inconsistent class")
     ctx = knot_surgery_context(d.p, d.q)
-    base = ctx.d3(d.signed_counts)
-    big_r = abs(ctx.rot_l(d.signed_counts))
-    pq = d.p * d.q
-    return base - pq + (big_r if pq > 0 else -big_r)
+    return half_lutz_shift(d.p * d.q, ctx.d3(d.signed_counts), abs(ctx.rot_l(d.signed_counts)))
+
+
+def half_lutz_shift(pq: int, d3_value: int, abs_r: int) -> int:
+    """half_lutz_d3 of a totally 2-inconsistent class with this d3 and |R|."""
+    return d3_value - pq + (abs_r if pq > 0 else -abs_r)
 
 
 def self_linking(tb: int, rot: int) -> int:

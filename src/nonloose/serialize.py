@@ -18,12 +18,6 @@ from .surgery import SurgeryDiagram
 SCHEMA = "atlas-v1"
 
 
-def _tb(value, positive_end: bool):
-    if value is None:
-        return "inf" if positive_end else "-inf"
-    return value
-
-
 def _untb(value):
     return None if value in ("inf", "-inf") else value
 
@@ -32,15 +26,15 @@ def family_to_dict(f: KnotFamilyRecord) -> dict:
     return {
         "id": f.id,
         "kind": f.kind,
-        "tb_max": _tb(f.tb_max, True),
-        "tb_min": _tb(f.tb_min, False),
+        "tb_max": "inf" if f.tb_max is None else f.tb_max,
+        "tb_min": "-inf" if f.tb_min is None else f.tb_min,
         "rot_at_tbmax": f.rot_at_tbmax,
         "rot_slope": f.rot_slope,
         "rot_intercept": f.rot_intercept,
         "torsion2": f.torsion2,
         "stab_plus": f.stab_plus,
         "stab_minus": f.stab_minus,
-        "merge_offsets": [list(x) for x in f.merge_offsets],
+        "merge_offsets": [list(x) for x in f.merge_offsets] if f.merge_offsets else [],
     }
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import mul
+from types import MappingProxyType
 
 from .decorations import DecoratedPathPair
 from .farey import audit, clockwise_neighbor, make_slope, negative_cf
@@ -115,6 +116,9 @@ class _Context(_ReadOnly):
 
     rot_L is the Farey rotation R = p r_n + q r_m, so its weights must be
     q w_b on P1 and p w_b on P2 (w = `Knot.weights`), audited once per knot.
+    `steps` holds the rot_L step of every compatibility-climb step, whose
+    Gram identities (d3 does not change along an orbit) are audited next to
+    them (`_climb_steps`).
     """
 
     def __init__(self, k: Knot):
@@ -162,7 +166,7 @@ class _Context(_ReadOnly):
         lk_weights = tuple(-f * z[t] for t, f in slots)
         farey = tuple((q if b.side == "P1" else p) * w for b, w in zip(blocks, k.weights))
         audit(lk_weights == farey, f"({p},{q}) surgery rot_L weights differ from the Farey ones")
-        vars(self).update(gram=gram, lk_weights=lk_weights)
+        vars(self).update(gram=gram, lk_weights=lk_weights, steps=_climb_steps(k, gram, lk_weights))
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -227,6 +231,29 @@ class _Context(_ReadOnly):
         for base, k, _ in self._paths:
             rot += reversed(tuple(accumulate(reversed(y[base : base + k]))))
         return tuple(rot) + (0, 0)
+
+
+def _climb_steps(k: Knot, gram, lk_weights) -> MappingProxyType:
+    """{(b, tau): rot_L step lk_weights . Delta} for every compatibility-climb
+    step.  A member breaking at block b, blocks 1..b-1 of sign tau, steps up
+    by Delta(b, tau): -2 tau e_j on blocks j < b, -2 tau (e_b - 1) on block b
+    and +2 tau on block b + 1, which must lie in the truncation (past the
+    last block it is the pq > 0 step to the totally consistent top).  The
+    member is its head h (tau e_j on j < b, tau (e_b - 2) on b) plus a tail
+    past b, so the audited (G Delta)_j = 0 on every block j > b and
+    2 h^T G Delta + Delta^T G Delta = 0 keep c^2 = x^T G x, hence d3, the
+    same at every member of an orbit, whatever its tail."""
+    e, n = k.sizes, len(k.sizes)
+    last = n if k.pair.q > 0 and k.blocks[-1].side == "P2" else len(k.truncated) - 1
+    steps = {}
+    for b, tau in product(range(2, last + 1), (1, -1)):
+        head = [tau * size for size in e[: b - 1]] + [tau * (e[b - 1] - 2)]
+        delta = [-2 * h for h in head[:-1]] + [-2 * tau * (e[b - 1] - 1)] + [2 * tau] * (b < n)
+        g_delta = [sum(map(mul, row, delta)) for row in gram]
+        audit(not any(g_delta[b:]) and 2 * sum(map(mul, head, g_delta)) + sum(map(mul, delta, g_delta)) == 0,
+              f"({k.pair.p},{k.pair.q}) climb step ({b}, {tau}) changes c^2")
+        steps[b, tau] = sum(map(mul, lk_weights, delta))
+    return MappingProxyType(steps)
 
 
 def _path_minors(diagonal) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from nonloose.atlas import (
     PointInfo,
@@ -16,12 +17,13 @@ from nonloose.atlas import (
     mountain_range,
 )
 from nonloose.cli import main
-from nonloose.decorations import orbit_pairs
+from nonloose.decorations import count_m, parse_decoration
 from nonloose.farey import cf_expand
-from nonloose.invariants import rotation_data
+from nonloose.invariants import half_lutz_d3, rotation_data
 from nonloose.paths import Knot, knot
-from nonloose.surgery import compile_diagram
+from nonloose.surgery import compile_diagram, knot_surgery_context
 from nonloose.serialize import atlas_from_dict, atlas_to_dict
+from oracles import mirror_string, negate, orbit_pairs
 
 
 def structure_map(atlas):
@@ -541,3 +543,47 @@ def test_cli_mountain_json_matches_eager_fill(capsys):
          "extra": info.extra, "families": list(info.families)}
         for (rot, tb), info in sorted(points.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
     ]
+
+
+@hst.composite
+def _class_outside_sweep(draw, qmax=400):
+    aq = draw(hst.integers(41, qmax))
+    p = draw(hst.integers(2, aq - 1).filter(lambda p: gcd(p, aq) == 1))
+    q = draw(hst.sampled_from((aq, -aq)))
+    assume(count_m(p, q) <= 2000)
+    return p, q
+
+
+def _check_members_against_orbit(atlas):
+    # classify reads d3 and rot_L once per orbit, at the root, and gets the
+    # |R| of later members from the per-knot climb steps; every member of
+    # every orbit, parsed back from its string, must carry that d3 and |R|,
+    # and the second half of the strings must mirror the first
+    p, q = atlas.p, atlas.q
+    ctx = knot_surgery_context(p, q)
+    for st in atlas.structures:
+        half = len(st.orbits) // 2
+        first, second = st.orbits[:half], st.orbits[half:]
+        members = [parse_decoration(p, q, s) for s in first]
+        assert list(second) == [mirror_string(m) for m in members], (p, q, st.d3)
+        if st.half_integer_torsion:
+            assert [half_lutz_d3(m) for m in members] == [st.d3], (p, q, st.d3)
+            continue
+        abs_r = [st.abs_r, *(r for _, r, _, _ in st.wing_data)]
+        assert len(abs_r) == half
+        for m in members + [negate(m) for m in members]:
+            x = m.signed_counts
+            assert ctx.d3(x) == st.d3, (p, q, str(m))
+        for m, r in zip(members, abs_r):
+            assert abs(ctx.rot_l(m.signed_counts)) == r, (p, q, str(m))
+
+
+def test_members_carry_orbit_d3_and_rot_on_sweep(sweep_atlases):
+    for atlas in sweep_atlases.values():
+        _check_members_against_orbit(atlas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_class_outside_sweep())
+def test_members_carry_orbit_d3_and_rot_outside_sweep(pq):
+    _check_members_against_orbit(classify(*pq, max_torsion2=2))

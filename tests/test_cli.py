@@ -113,6 +113,37 @@ def test_mountain_svg(capsys):
     assert out.startswith("<svg") and "</svg>" in out
 
 
+def test_oversize_classify_refused_before_the_climb(capsys, monkeypatch):
+    # (5,8) at max_torsion2 = 20000 would print about 80 MB; the size
+    # estimate refuses it before any orbit is climbed, with one error line
+    import nonloose.atlas as atlas
+
+    def no_climb(p, q):
+        raise AssertionError(f"climbed ({p},{q})")
+
+    monkeypatch.setattr(atlas, "orbit_climbs", no_climb)
+    for verb in (["classify", "5", "8"], ["mountain", "5", "8", "--d3", "1"]):
+        code, out, err = run(capsys, *verb, "--max-torsion2", "20000")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: (5,8) at max_torsion2 = 20000") and "ATLAS_MAX_BYTES" in err
+    monkeypatch.setenv("ATLAS_MAX_BYTES", "1000")
+    code, _, err = run(capsys, "classify", "3", "7", "--max-torsion2", "7")
+    assert code == 1 and "above the limit of 1000" in err
+
+
+def test_default_atlas_limit_admits_the_panels():
+    # the largest atlases the tests, the byte gate (t = 2 and 4), perfbench
+    # (t = 2) and the CLI default (t = 4) build, against the default limit
+    from nonloose.atlas import MAX_ATLAS_BYTES, _atlas_bytes
+    from nonloose.decorations import class_counts
+    from nonloose.paths import knot
+
+    for p, q in [(2, -4001), (2, 10001), (233, 377), (89, 144), (2, -1001), (7, -100)]:
+        m, _, t2 = class_counts(p, q)
+        assert _atlas_bytes(knot(p, q), m, t2, 4) <= MAX_ATLAS_BYTES, (p, q)
+
+
 def test_mountain_window_guard(capsys, monkeypatch):
     code, _, err = run(
         capsys, "mountain", "5", "8", "--d3", "1", "--tb-min", "-10000",

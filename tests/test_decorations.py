@@ -8,20 +8,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonloose.decorations import (
     DecoratedPathPair,
-    _climb,
     count_m,
     count_n,
     count_totally_2_inconsistent,
     decoration_string,
     enumerate_decorations,
-    negate,
-    orbit_pairs,
+    orbit_climbs,
     parse_decoration,
     tight_count_lens,
 )
 from nonloose.paths import build_pair, decompose_blocks
 from oracles import (
+    _climb,
     compatibility_orbit,
+    negate,
+    orbit_pairs,
     parse_slope,
     shuffle_down,
     tight_count_solid_torus_lower,
@@ -252,6 +253,25 @@ def test_climb_steps_shuffle_back_down():
                     assert shuffle_down(parent) == child, (p, q, child)
                     steps += 1
     assert steps == 9942
+
+
+def _check_tuple_climb(p, q):
+    # the climb classify runs, on plus-count tuples, against the record
+    # climb: the same orbits, members, mirror_first flags and pair order
+    expected = [([m.plus_counts for m in orbit], mirror_first)
+                for orbit, mirror_first in orbit_pairs(p, q)]
+    assert orbit_climbs(p, q) == expected, (p, q)
+
+
+def test_tuple_climb_matches_record_climb_on_sweep():
+    for p, q in knot_range(39, 40):
+        _check_tuple_climb(p, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_class_outside_sweep())
+def test_tuple_climb_matches_record_climb_outside_sweep(pq):
+    _check_tuple_climb(*pq)
 
 
 def test_mirror_strings_match_negated_members(sweep_atlases):

@@ -55,7 +55,7 @@ def test_rotation_magnitudes_5m8():
 
 
 def test_rotation_bounds_and_negation():
-    from nonloose.decorations import negate
+    from oracles import negate
 
     for p, q in [(5, 8), (5, -8), (3, 7), (4, -9)]:
         for d in enumerate_decorations(p, q):

@@ -18,7 +18,7 @@ from nonloose.decorations import (
 )
 from nonloose.farey import InvariantError
 from nonloose.paths import build_pair, decompose_blocks, knot
-from nonloose.surgery import _Context, compile_diagram, knot_surgery_context
+from nonloose.surgery import _climb_steps, _Context, compile_diagram, knot_surgery_context
 
 GOLDEN_58 = (
     (-4, -2, -1, -1, -1, -1),
@@ -324,6 +324,8 @@ def test_cached_context_read_only():
     for values in (ctx.slots, ctx.slots[0], ctx.gram, ctx.gram[0]):
         with pytest.raises(TypeError):
             values[0] = 0
+    with pytest.raises(TypeError):
+        ctx.steps[2, -1] = 0
     for chain in (ctx.chain_p, ctx.chain_q):
         for values in (chain.digits, chain.tb, chain.stabs):
             with pytest.raises(TypeError):
@@ -349,6 +351,66 @@ def test_context_refuses_perturbed_rotation_weights():
         weights = k.weights[:b] + (k.weights[b] + 1,) + k.weights[b + 1:]
         with pytest.raises(InvariantError):
             _Context(dataclasses.replace(k, weights=weights))
+
+
+PERTURBED_GRAM = """
+import sys
+from nonloose.farey import InvariantError
+from nonloose.paths import knot
+from nonloose.surgery import _climb_steps
+
+k = knot({p}, {q})
+gram = [list(row) for row in k.context.gram]
+gram[-1][0] += 1
+gram[0][-1] += 1
+try:
+    _climb_steps(k, gram, k.context.lk_weights)
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("pq", [(5, 8), (5, -8), (89, 144), (7, -100)])
+def test_climb_steps_refuse_perturbed_gram(pq):
+    # the per-knot climb-step identities are what keeps d3 constant along an
+    # orbit; a Gram form that breaks them is refused, also under python -O
+    import subprocess
+    import sys
+
+    k = knot(*pq)
+    gram = [list(row) for row in k.context.gram]
+    assert _climb_steps(k, gram, k.context.lk_weights) == k.context.steps
+    gram[-1][0] += 1
+    gram[0][-1] += 1
+    with pytest.raises(InvariantError, match="changes c"):
+        _climb_steps(k, gram, k.context.lk_weights)
+    code = PERTURBED_GRAM.format(p=pq[0], q=pq[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert b"changes c^2" in proc.stdout
+
+
+def test_climb_steps_match_the_record_climb():
+    # every step of every orbit and mirror orbit on the p <= 20, |q| <= 30
+    # range moves x by the table's Delta: rot_L by the stored step, d3 not
+    # at all
+    from oracles import negate, orbit_pairs
+
+    for p in range(2, 21):
+        for aq in range(p + 1, 31):
+            if gcd(p, aq) != 1:
+                continue
+            for q in (aq, -aq):
+                ctx = knot_surgery_context(p, q)
+                for climbed, _ in orbit_pairs(p, q):
+                    for orbit in (climbed, [negate(m) for m in climbed]):
+                        for child, parent in zip(orbit, orbit[1:]):
+                            b, tau = child.breaking, child.block_signs[0]
+                            assert (ctx.rot_l(parent.signed_counts) - ctx.rot_l(child.signed_counts)
+                                    == ctx.steps[b, tau]), (p, q, child)
+                            assert ctx.d3(parent.signed_counts) == ctx.d3(child.signed_counts)
 
 
 def test_signature_euler_api():
