@@ -19,10 +19,9 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from sys import intern
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .decorations import class_counts, orbit_climbs
-from .farey import Slope, audit, dot, farey_sum
+from .farey import audit, dot, farey_sum
 from .invariants import half_lutz_shift, parity_ok
 from .paths import block_far_slopes, knot
 from .surgery import knot_surgery_context
@@ -120,19 +119,22 @@ def _leg(fid, kind, sign, crossing, torsion2, tb_max=UNBOUNDED, tb_min=UNBOUNDED
     )
 
 
-def _x_legs(fams, crossing, torsion2, base, threshold):
-    """Append the two X legs at doubled torsion torsion2.  The base legs keep
-    the x_leg kinds and tower copies are torsion_member; with a pq > 0
-    threshold each leg gains half a unit of torsion at and below it."""
-    suffix = "" if base else f"~{torsion2}"
-    for sign, tag in ((+1, "+"), (-1, "-")):
-        kind = ("x_leg_plus" if sign > 0 else "x_leg_minus") if base else "torsion_member"
-        fid = intern(f"x{tag}{suffix}")
-        if threshold is None:
-            fams.append(_leg(fid, kind, sign, crossing, torsion2))
-        else:
-            fams.append(_leg(fid, kind, sign, crossing, torsion2, tb_min=threshold + 1))
-            fams.append(_leg(intern(f"{fid}lo"), kind, sign, crossing, torsion2 + 1, tb_max=threshold))
+def _x_legs(fams, crossing, levels, threshold):
+    """Append the two X legs at each doubled torsion level.  A level below 2
+    is the base level, whose legs keep the x_leg kinds; tower copies are
+    torsion_member.  With a pq > 0 threshold each leg gains half a unit of
+    torsion at and below it."""
+    for torsion2 in levels:
+        tower = torsion2 >= 2
+        suffix = f"~{torsion2}" if tower else ""
+        for sign, tag in ((+1, "+"), (-1, "-")):
+            kind = "torsion_member" if tower else ("x_leg_plus" if sign > 0 else "x_leg_minus")
+            fid = intern(f"x{tag}{suffix}")
+            if threshold is None:
+                fams.append(_leg(fid, kind, sign, crossing, torsion2))
+            else:
+                fams.append(_leg(fid, kind, sign, crossing, torsion2, tb_min=threshold + 1))
+                fams.append(_leg(intern(f"{fid}lo"), kind, sign, crossing, torsion2 + 1, tb_max=threshold))
 
 
 def _point(fid, kind, rot, tb, torsion2, stab_plus, stab_minus, merge=()):
@@ -141,24 +143,16 @@ def _point(fid, kind, rot, tb, torsion2, stab_plus, stab_minus, merge=()):
     )
 
 
-class _Ladder(NamedTuple):
-    """The truncated block ladder of one class: q/p, and s_k, n_k by block k."""
-
-    slope: Slope
-    s: dict[int, Slope]
-    n: dict[int, int]
-
-
-def _ladder(pair) -> _Ladder:
+def _peak_ladder(pair) -> dict[int, tuple[int, int]]:
+    """The per-knot peak ladder: by member key j >= 3, (merge offset, n_{j-1}).
+    The merge offset 2*|(s_{j-1} (+) s_{j-2}) . q/p| is the rot distance
+    between the peaks of members j and j-1 of one compatibility chain, and
+    n_k = |s_k . q/p| for the far slope s_k of truncated block k."""
     fars = block_far_slopes(pair)
-    return _Ladder(pair.slope, {k: s for k, s, _ in fars}, {k: n for k, _, n in fars})
-
-
-def _merge_offset(ladder: _Ladder, j: int) -> int:
-    """2*n'_j with n'_j = |(s_j (+) s_{j-1}) . q/p|: the rot distance between
-    the peaks of members j+1 and j of one compatibility chain."""
-    s_new = farey_sum(ladder.s[j], ladder.s[j - 1])
-    return 2 * abs(dot(s_new, ladder.slope))
+    return {
+        k + 1: (2 * abs(dot(farey_sum(s, s_prev), pair.slope)), n)
+        for (_, s_prev, _), (k, s, n) in zip(fars, fars[1:])
+    }
 
 
 def _labels(k):
@@ -191,6 +185,15 @@ def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
 MAX_ATLAS_BYTES = 64_000_000
 
 
+def _env_limit(name: str, default: int) -> int:
+    """The integer in environment variable name, or default if it is unset or empty."""
+    value = os.environ.get(name)
+    try:
+        return int(value) if value else default
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _atlas_bytes(k, m: int, t2: int, max_torsion2: int) -> int:
     """A closed-form estimate, O(k), of the atlas-v1 JSON size in bytes, on
     the high side: every non-tight class is one orbit string of sum(e_b) + 16
@@ -205,7 +208,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     k = knot(p, q)
     m_count, n_count, t2_count = class_counts(p, q)
     # refuse an oversize atlas before any orbit is climbed
-    limit = int(os.environ.get("ATLAS_MAX_BYTES") or MAX_ATLAS_BYTES)
+    limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
     if (size := _atlas_bytes(k, m_count, t2_count, max_torsion2)) > limit:
         raise ValueError(
             f"({p},{q}) at max_torsion2 = {max_torsion2} makes about {size} bytes of "
@@ -217,14 +220,13 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     sgn = 1 if pq > 0 else -1
     bound = abs(pq) - p - abs(q)
     ctx = knot_surgery_context(p, q)
-    ladder = _ladder(pair)
+    peaks = _peak_ladder(pair)
     # per knot: rot_L along the climb from a root (member t has blocks
-    # 1..t+1 of sign -1 for even t, +1 for odd t), and the merge offsets
+    # 1..t+1 of sign -1 for even t, +1 for odd t)
     rot_climb, b, tau = [0], 2, -1
     while (b, tau) in ctx.steps:
         rot_climb.append(rot_climb[-1] + ctx.steps[b, tau])
         b, tau = b + 1, -tau
-    offsets = {j: _merge_offset(ladder, j) for j in range(2, len(rot_climb) + 1)}
     label, mirror_label = _labels(k)
     # the one root with uniform blocks and opposite signs on the two sides:
     # block 1's side all -, the other all +
@@ -254,7 +256,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
 
         if len(orbit) == len(k.sizes):
             audit(pq > 0, "only pq > 0 orbits have a totally consistent top")
-            structures.append(_exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r))
+            structures.append(_exceptional_positive(pair, peaks, d3_value, orbit_strings, abs_r))
             continue
 
         exceptional_neg = pq < 0 and key == split
@@ -271,19 +273,19 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         if exceptional_neg:
             audit(crossing == bound, "the exceptional X crosses at the Bennequin bound")
 
-        st, tr = _generic_structure(
-            pair, ladder, offsets, d3_value, orbit_strings, abs_r, crossing,
-            totally2, exceptional_neg, special_pos, max_torsion2,
-        )
+        st, tr = _x_structure(pair, peaks, orbit_strings, abs_r, totally2, special_pos,
+                              max_torsion2, 0, d3_value, crossing, exceptional_neg, [])
         structures.append(st)
         transverse.append(tr)
-
         if totally2:
-            st2, tr2 = _half_lutz_structure(
-                pair, d3_value, orbit_strings, abs_r[2], special_pos, max_torsion2
-            )
-            structures.append(st2)
-            transverse.append(tr2)
+            # the half-Lutz structure: the same X range, its torsion shifted up by a half
+            note = intern(f"obtained from the d3 = {d3_value} structure by a half Lutz twist "
+                          "along its non-loose transverse representative")
+            st, tr = _x_structure(pair, peaks, orbit_strings, abs_r, True, special_pos, max_torsion2,
+                                  1, half_lutz_shift(pq, d3_value, abs_r[2]), sgn * abs_r[2] - pq,
+                                  False, [note])
+            structures.append(st)
+            transverse.append(tr)
 
     for st in structures:
         audit(parity_ok(pq > 0, st.half_integer_torsion, st.d3), "d3 parity law violated")
@@ -308,7 +310,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
 
 
-def _exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r) -> Structure:
+def _exceptional_positive(pair, peaks, d3_value, orbit_strings, abs_r) -> Structure:
     p, q, pq = pair.p, pair.q, pair.p * pair.q
     audit(d3_value == 1, "the all-consistent pq>0 orbit must land in d3 = 1")
     vertex = pq - p - q + 2
@@ -320,13 +322,12 @@ def _exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r)
     abs_r2 = abs_r[2]
     audit(abs_r2 == p + q - 2, "V corners sit at rot = -/+(p+q-2)")
     wing_data = []
-    prev_abs = abs_r2
     # the top, at the last key, follows the member that breaks at the last block
     top = max(abs_r)
     for j in range(3, top + 1):
         r = abs_r[j]
-        offset = offsets[j - 1]
-        audit(prev_abs - r == offset, "diamond peaks must be merge-offset apart")
+        offset, n = peaks[j]
+        audit(abs_r[j - 1] - r == offset, "diamond peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
         for sign, tag in ((+1, "+"), (-1, "-")):
             fams.append(
@@ -334,9 +335,8 @@ def _exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r)
                        "stays_above_V", "stays_above_V", merge)
             )
         # the all-consistent diamond allows p - 1 doomed stabs: (p+q-|R|)/2 = n_last = p
-        extent = ladder.n[j - 1] if j < top else (p + q - r) // 2
+        extent = n if j < top else (p + q - r) // 2
         wing_data.append((j, r, extent, offset))
-        prev_abs = r
     notes = (
         "peak stabilizations stay non-loose exactly on or above the V; "
         "equal invariants there mean equal knots",
@@ -347,135 +347,76 @@ def _exceptional_positive(pair, ladder, offsets, d3_value, orbit_strings, abs_r)
     )
 
 
-def _generic_structure(
-    pair, ladder, offsets, d3_value, orbit_strings, abs_r, crossing,
-    totally2, exceptional_neg, special_pos, max_torsion2,
-):
+def _x_structure(pair, peaks, orbit_strings, abs_r, totally2, special_pos, max_torsion2,
+                 base, d3_value, crossing, exceptional, notes):
+    """One X-shaped mountain range and its transverse entry: the X legs at
+    the base doubled torsion (0 for an orbit's own structure, 1 after a half
+    Lutz twist), the wing peaks, the extra L_e of the exceptional pq < 0 X
+    and, on a totally 2-inconsistent orbit, the torsion tower above base."""
     p, q, pq = pair.p, pair.q, pair.p * pair.q
     sgn = 1 if pq > 0 else -1
-    bound = abs(pq) - p - abs(q)
     threshold = pq - p - q if special_pos else None
     fams: list[KnotFamilyRecord] = []
-    notes: list[str] = []
-
-    _x_legs(fams, crossing, 0, True, threshold)
+    _x_legs(fams, crossing, [base], threshold)
 
     wing_data = []
-    prev_abs = abs_r[2]
     for j in range(3, len(abs_r) + 2):
         r = abs_r[j]
-        offset = offsets[j - 1]
-        audit(abs(r - prev_abs) == offset, "wing peaks must be merge-offset apart")
+        offset, n = peaks[j]
+        audit(abs(r - abs_r[j - 1]) == offset, "wing peaks must be merge-offset apart")
         merge = ((j - 1, offset),)
-        inner_plus = "x+" if j == 3 else f"w{j-1}+"
-        inner_minus = "x-" if j == 3 else f"w{j-1}-"
-        fams.append(
-            _leg(intern(f"w{j}+"), "wing_peak", +1, pq - sgn * r, 0, tb_max=pq,
-                 stab=("stays", intern(f"becomes:{inner_plus}")), merge=merge)
-        )
-        fams.append(
-            _leg(intern(f"w{j}-"), "wing_peak", -1, pq - sgn * r, 0, tb_max=pq,
-                 stab=(intern(f"becomes:{inner_minus}"), "stays"), merge=merge)
-        )
-        wing_data.append((j, r, ladder.n[j - 1], offset))
-        prev_abs = r
-
-    if wing_data:
+        inner = "x" if j == 3 else f"w{j - 1}"
+        for sign, tag in ((+1, "+"), (-1, "-")):
+            becomes = intern(f"becomes:{inner}{tag}")
+            stab = ("stays", becomes) if sign > 0 else (becomes, "stays")
+            fams.append(_leg(intern(f"w{j}{tag}"), "wing_peak", sign, pq - sgn * r, 0, tb_max=pq,
+                             stab=stab, merge=merge))
+        wing_data.append((j, r, n, offset))
         # audit note: the closed-form peak rotation -/+(|R| - 2(n_k - 1))
         # does not always reproduce the merge-consistent direct values
-        for j, r, _, _ in wing_data:
-            shortcut = abs(abs_r[2] - 2 * (ladder.n[j - 1] - 1))
-            if shortcut != r:
-                notes.append(
-                    f"wing {j}: direct rotation magnitude {r}; the closed-form "
-                    f"shortcut |R|-2(n_k-1) would give {shortcut}"
-                )
+        shortcut = abs(abs_r[2] - 2 * (n - 1))
+        if shortcut != r:
+            notes.append(
+                f"wing {j}: direct rotation magnitude {r}; the closed-form "
+                f"shortcut |R|-2(n_k-1) would give {shortcut}"
+            )
 
-    if exceptional_neg:
-        fams.append(_point("le", "extra_Le", 0, bound, 0, "becomes:x+", "becomes:x-"))
+    if exceptional:
+        # audited: the exceptional X crosses at the Bennequin bound
+        fams.append(_point("le", "extra_Le", 0, crossing, 0, "becomes:x+", "becomes:x-"))
         notes.append(
             "the crossing carries three distinct knots: both legs and the extra one"
         )
 
     if totally2:
         audit(not wing_data, "torsion towers only occur on wingless chains")
-        for level in range(2, max_torsion2 + 1, 2):
-            _x_legs(fams, crossing, level, False, threshold)
-        notes.append(_tower_note(max_torsion2))
+        _x_legs(fams, crossing, range(base + 2, max_torsion2 + 1, 2), threshold)
+        notes.append(intern(f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"))
+        # the negative-stabilization limit picks up the below-threshold
+        # torsion of the pq > 0 special class
+        start = base + special_pos
+        classes = [
+            TransverseClass(crossing, torsion2, None, "x_leg_minus")
+            for torsion2 in range(start, max_torsion2 + 1, 2) or [start]
+        ]
+        tr_notes = ("infinite family indexed by torsion; truncated in this report",)
+    else:
+        top = pq - sgn * abs_r[len(abs_r) + 1]
+        chain = range(max(top, crossing), min(top, crossing) - 1, -2)
+        classes = [
+            TransverseClass(sl, 0, i + 1 if i + 1 < len(chain) else None,
+                            "x_leg_minus" if sl == crossing else "wing")
+            for i, sl in enumerate(chain)
+        ]
+        tr_notes = ()
     if special_pos:
         notes.append("torsion jumps by 1/2 at and below tb = pq - p - q on every level")
 
     st = Structure(
-        d3_value, exceptional_neg, False, orbit_strings, tuple(fams), tuple(notes),
+        d3_value, exceptional, base == 1, orbit_strings, tuple(fams), tuple(notes),
         abs_r[2], tuple(wing_data),
     )
-
-    if totally2:
-        classes = []
-        for torsion2 in _transverse_levels(special_pos, False, max_torsion2):
-            classes.append(TransverseClass(crossing, torsion2, None, "x_leg_minus"))
-        tr = TransverseEntry(
-            d3_value, tuple(classes),
-            ("infinite family indexed by torsion; truncated in this report",),
-        )
-    else:
-        top_abs = abs_r[max(abs_r)]
-        hi, lo = sorted((pq - sgn * top_abs, crossing))[::-1]
-        chain = list(range(hi, lo - 1, -2))
-        classes = []
-        for i, sl in enumerate(chain):
-            nxt = i + 1 if i + 1 < len(chain) else None
-            origin = "x_leg_minus" if sl == crossing else "wing"
-            classes.append(TransverseClass(sl, 0, nxt, origin))
-        tr = TransverseEntry(d3_value, tuple(classes), ())
-    return st, tr
-
-
-def _tower_note(max_torsion2: int) -> str:
-    return intern(f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}")
-
-
-def _transverse_levels(special_pos: bool, half_side: bool, max_torsion2: int):
-    """Doubled torsion levels of the infinite transverse family: the
-    negative-stabilization limit picks up the below-threshold torsion of the
-    pq > 0 special class."""
-    if half_side:
-        start = 2 if special_pos else 1
-    else:
-        start = 1 if special_pos else 0
-    levels = list(range(start, max_torsion2 + 1, 2))
-    return levels or [start]
-
-
-def _half_lutz_structure(
-    pair, d3_value, orbit_strings, abs_r2, special_pos, max_torsion2
-):
-    p, q, pq = pair.p, pair.q, pair.p * pair.q
-    lutz_d3 = half_lutz_shift(pq, d3_value, abs_r2)
-    crossing = abs_r2 - pq if pq > 0 else -pq - abs_r2
-    threshold = pq - p - q if special_pos else None
-    fams: list[KnotFamilyRecord] = []
-    notes = [
-        intern(f"obtained from the d3 = {d3_value} structure by a half Lutz twist "
-               "along its non-loose transverse representative")
-    ]
-    for level in range(1, max_torsion2 + 1, 2) or [1]:
-        _x_legs(fams, crossing, level, level == 1, threshold)
-    notes.append(_tower_note(max_torsion2))
-    if special_pos:
-        notes.append("torsion jumps by 1/2 at and below tb = pq - p - q on every level")
-    st = Structure(
-        lutz_d3, False, True, orbit_strings, tuple(fams), tuple(notes), abs_r2, ()
-    )
-    classes = [
-        TransverseClass(crossing, torsion2, None, "x_leg_minus")
-        for torsion2 in _transverse_levels(special_pos, True, max_torsion2)
-    ]
-    tr = TransverseEntry(
-        lutz_d3, tuple(classes),
-        ("infinite family indexed by torsion; truncated in this report",),
-    )
-    return st, tr
+    return st, TransverseEntry(d3_value, tuple(classes), tr_notes)
 
 
 # ---------------------------------------------------------------------------

@@ -206,15 +206,15 @@ def _cmd_surgery(args) -> int:
 def _cmd_invariants(args) -> int:
     d = parse_decoration(args.p, args.q, args.decoration)
     data = rotation_data(d)
-    diagram = compile_diagram(d)
+    ctx = knot_surgery_context(args.p, args.q)
     payload = {
         "decoration": decoration_string(d),
         "r_m": data.r_m,
         "r_n": data.r_n,
         "R": data.R,
-        "rot_surgered": diagram.rot_l,
+        "rot_surgered": ctx.rot_l(d.signed_counts),
         "cross_check": cross_check_rot(d),
-        "d3": diagram.d3,
+        "d3": ctx.d3(d.signed_counts),
         "sl_at_tb_pq": self_linking(args.p * args.q, data.R),
     }
     if args.format == "json":
@@ -247,6 +247,8 @@ def _cmd_mountain(args) -> int:
 def _cmd_verify(args) -> int:
     from . import checks
 
+    if args.pmax < 2 or args.qmax < 3:
+        raise ValueError(f"verify needs --pmax >= 2 and --qmax >= 3, got {args.pmax} and {args.qmax}")
     failures = 0
     for name, ok, detail in checks.run_all(args.pmax, args.qmax):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
-from .atlas import MountainRange
+from .atlas import MountainRange, _env_limit
 
 MAX_CELLS = 10_000
 
 
 def _cell_budget() -> int:
-    env = os.environ.get("ATLAS_MAX_CELLS")
-    return int(env) if env else MAX_CELLS
+    return _env_limit("ATLAS_MAX_CELLS", MAX_CELLS)
 
 
 def _grid(mrange: MountainRange):

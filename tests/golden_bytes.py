@@ -4,12 +4,15 @@ Run from the repository root:
 
     python tests/golden_bytes.py
 
-It checks three things and exits 1 on any difference:
+It checks four things and exits 1 on any difference:
 
 - ATLAS_SHA256, the sha256 of the concatenated
   `json.dumps(atlas_to_dict(classify(p, q, t)), indent=2)` over 4,180
   atlases: t = 2, then t = 4; for each t every coprime 1 < p < |q| <= 60
   (p ascending, then |q|, +q before -q), then the panel knots below;
+- LOW_TORSION_SHA256, the same digest over 2,700 atlases at the
+  truncations t = 0, 1 and 3 (the empty tower and the odd half-Lutz
+  levels), each over the knots above with |q| <= 40;
 - the compact-JSON digest of every sweep and long-chain atlas in
   perfbench/reference.json;
 - every CLI command in perfbench/reference.json: its exit code and the
@@ -38,6 +41,8 @@ from nonloose.serialize import atlas_to_dict  # noqa: E402
 
 ATLAS_SHA256 = "34bb57925dd4c27c92c01e1585548a4fe7909aed8360bd29d90a604beabce510"
 ATLAS_COUNT = 4180
+LOW_TORSION_SHA256 = "7e85e78aff3f57caf5107b76b78cdc0402ec3db5104a881bffcfab7df0cd381f"
+LOW_TORSION_COUNT = 2700
 PANEL = ((89, 144), (233, 377), (2, 1001), (2, -1001), (7, -100), (2, -4001))
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
@@ -51,12 +56,13 @@ def golden_knots() -> list[tuple[int, int]]:
     return out + list(PANEL)
 
 
-def atlas_sha256() -> tuple[str, int]:
+def atlas_sha256(truncations=(2, 4), qmax=None) -> tuple[str, int]:
     h, count = hashlib.sha256(), 0
-    for t in (2, 4):
+    for t in truncations:
         for p, q in golden_knots():
-            h.update(json.dumps(atlas_to_dict(classify(p, q, t)), indent=2).encode())
-            count += 1
+            if qmax is None or abs(q) <= qmax:
+                h.update(json.dumps(atlas_to_dict(classify(p, q, t)), indent=2).encode())
+                count += 1
     return h.hexdigest(), count
 
 
@@ -81,6 +87,12 @@ def main() -> int:
     if (sha, count) != (ATLAS_SHA256, ATLAS_COUNT):
         bad.append(f"atlas sha256 {sha} over {count} atlases, expected {ATLAS_SHA256} over {ATLAS_COUNT}")
     print(f"atlas-v1 sha256 over {count} atlases: {sha}")
+
+    sha, count = atlas_sha256((0, 1, 3), qmax=40)
+    if (sha, count) != (LOW_TORSION_SHA256, LOW_TORSION_COUNT):
+        bad.append(f"t = 0, 1, 3 sha256 {sha} over {count} atlases, "
+                   f"expected {LOW_TORSION_SHA256} over {LOW_TORSION_COUNT}")
+    print(f"atlas-v1 sha256 at t = 0, 1, 3 over {count} atlases: {sha}")
 
     atlases = 0
     for key in ("sweep", "long_chain"):

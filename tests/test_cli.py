@@ -158,6 +158,34 @@ def test_mountain_window_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_invalid_atlas_max_bytes_refused(capsys, monkeypatch):
+    # a limit that is not an integer is a usage error naming the variable and
+    # its value; the limit is read on a classify cache miss, hence t = 9
+    monkeypatch.setenv("ATLAS_MAX_BYTES", "abc")
+    code, out, err = run(capsys, "classify", "5", "8", "--max-torsion2", "9")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: ATLAS_MAX_BYTES must be an integer, got 'abc'"]
+
+
+def test_invalid_atlas_max_cells_refused(capsys, monkeypatch):
+    monkeypatch.setenv("ATLAS_MAX_CELLS", "1e4")
+    code, out, err = run(capsys, "mountain", "5", "8", "--d3", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: ATLAS_MAX_CELLS must be an integer, got '1e4'"]
+
+
+def test_verify_empty_range_refused(capsys):
+    # below p = 2 or |q| = 3 there is no knot class for the checks to examine
+    for pmax, qmax in (("1", "1"), ("1", "14"), ("7", "2")):
+        code, out, err = run(capsys, "verify", "--pmax", pmax, "--qmax", qmax)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: verify needs --pmax >= 2 and --qmax >= 3, got {pmax} and {qmax}"
+        ]
+    code, out, _ = run(capsys, "verify", "--pmax", "2", "--qmax", "3")
+    assert code == 0 and out.count("PASS") == 7
+
+
 def test_mountain_inverted_window_refused(capsys):
     for fmt in ("ascii", "svg", "json"):
         code, out, err = run(
@@ -221,11 +249,13 @@ def test_audits_survive_optimize():
     import subprocess
     import sys
 
-    # a wrong merge offset breaks the diamond-peak cross-check of (5,8); the
-    # audit must fire with asserts stripped, and the CLI must exit 2
+    # a wrong merge offset in the peak ladder breaks the diamond-peak
+    # cross-check of (5,8); the audit must fire with asserts stripped, and
+    # the CLI must exit 2
     code = (
         "import nonloose.atlas as a, nonloose.cli as c; "
-        "a._merge_offset = lambda pair, j: 0; "
+        "ladder = a._peak_ladder; "
+        "a._peak_ladder = lambda pair: {j: (0, n) for j, (_, n) in ladder(pair).items()}; "
         "raise SystemExit(c.main(['classify', '5', '8']))"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
