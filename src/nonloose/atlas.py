@@ -171,17 +171,6 @@ def _labels(k):
     return label, mirror_label
 
 
-def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
-    """The full atlas of non-loose Legendrian/transverse (p,q)-torus knots.
-
-    Torsion towers are truncated at max_torsion2 but flagged unbounded.
-    """
-    if max_torsion2 < 0:
-        raise ValueError("max_torsion2 must be non-negative")
-    knot(p, q)  # validates the knot class
-    return _classify_cached(p, q, max_torsion2)
-
-
 MAX_ATLAS_BYTES = 64_000_000
 
 
@@ -203,10 +192,16 @@ def _atlas_bytes(k, m: int, t2: int, max_torsion2: int) -> int:
     return (m + t2) * (sum(k.sizes) + 16) + 1024 * (m + t2 * (max_torsion2 + 2))
 
 
-@lru_cache(maxsize=1024)
-def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
-    k = knot(p, q)
-    m_count, n_count, t2_count = class_counts(p, q)
+def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
+    """The full atlas of non-loose Legendrian/transverse (p,q)-torus knots.
+
+    Torsion towers are truncated at max_torsion2 but flagged unbounded.  An
+    atlas above ATLAS_MAX_BYTES is refused on every call, cached or not.
+    """
+    if max_torsion2 < 0:
+        raise ValueError("max_torsion2 must be non-negative")
+    k = knot(p, q)  # validates the knot class
+    m_count, _, t2_count = class_counts(p, q)
     # refuse an oversize atlas before any orbit is climbed
     limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
     if (size := _atlas_bytes(k, m_count, t2_count, max_torsion2)) > limit:
@@ -215,18 +210,19 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
             f"atlas-v1 JSON, above the limit of {limit}; lower --max-torsion2 or "
             "raise ATLAS_MAX_BYTES"
         )
+    return _classify_cached(p, q, max_torsion2)
+
+
+@lru_cache(maxsize=1024)
+def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
+    k = knot(p, q)
+    m_count, n_count, t2_count = class_counts(p, q)
     pair = k.pair
     pq = p * q
     sgn = 1 if pq > 0 else -1
     bound = abs(pq) - p - abs(q)
     ctx = knot_surgery_context(p, q)
     peaks = _peak_ladder(pair)
-    # per knot: rot_L along the climb from a root (member t has blocks
-    # 1..t+1 of sign -1 for even t, +1 for odd t)
-    rot_climb, b, tau = [0], 2, -1
-    while (b, tau) in ctx.steps:
-        rot_climb.append(rot_climb[-1] + ctx.steps[b, tau])
-        b, tau = b + 1, -tau
     label, mirror_label = _labels(k)
     # the one root with uniform blocks and opposite signs on the two sides:
     # block 1's side all -, the other all +
@@ -240,9 +236,8 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         # everything read below is the same on the mirror orbit, x -> -x:
         # consistency, d3 (a Gram form), |rot_L| and the split-sign test.
         # d3 and rot_L are read at the root; the per-knot step audits make
-        # d3 constant along the climb and give rot_L by prefix sums
+        # d3 constant along the climb, and rot_L is offset by ctx.climb_rot
         key = orbit[0]
-        audit(len(orbit) <= len(rot_climb), "the climb took a step the step table lacks")
         x = tuple(2 * c - e for c, e in zip(key, k.sizes))
         d3_value = ctx.d3(x)
         rot_key = ctx.rot_l(x)
@@ -251,7 +246,7 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
         orbit_strings = tuple(mirrors + strings if mirror_first else strings + mirrors)
         # member t (from 0) of the climb is (t+2)-inconsistent, at key t + 2;
         # an orbit with one member per block ends at the pq > 0 totally consistent top
-        abs_r = {j: abs(rot_key + r) for j, r in zip(range(2, len(orbit) + 2), rot_climb)}
+        abs_r = {t + 2: abs(rot_key + ctx.climb_rot[t]) for t in range(len(orbit))}
         totally2 = key[1] == k.sizes[1]
 
         if len(orbit) == len(k.sizes):

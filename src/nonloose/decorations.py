@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, gcd, prod
 
 from .farey import negative_cf
@@ -130,34 +131,32 @@ def orbit_climbs(p: int, q: int) -> list[tuple[list[tuple[int, ...]], bool]]:
     roots to roots, so one pair grows from each root with block 1 all - and
     a + in block 2: `members` is its climb, the mirror orbit every member
     mirrored.  Member t (from 0) breaks at block t + 2, blocks 1..t+1 of
-    sign tau = -1 for even t, +1 for odd t.  While block t + 2 holds exactly
-    one -tau edge the climb steps up: blocks 1..t+2 turn -tau and block
-    t + 3, which must lie in the truncation, gains a tau edge; from the last
-    block a pq > 0 climb steps to the totally consistent top (all -tau), so
-    an orbit reaches the top exactly when it has one member per block.
+    sign tau = -1 for even t, +1 for odd t.  While block b = t + 2 holds
+    exactly one -tau edge and b <= `Knot.climb_last` the climb steps up:
+    blocks 1..b turn -tau and block b + 1 gains a tau edge; past the last
+    block that is the pq > 0 step to the totally consistent top (all -tau),
+    so an orbit reaches the top exactly when it has one member per block.
     Within a pair the orbit with the lexicographically lower member comes
     first (`mirror_first` when that is the mirror), and pairs are ordered by
     that member: the order in which a walk over enumerate_decorations meets
     them."""
     k = knot(p, q)
-    sizes, n, truncated = k.sizes, len(k.sizes), len(k.truncated)
+    sizes, n = k.sizes, len(k.sizes)
     zeros = (0,) * n
-    top = q > 0 and k.blocks[-1].side == "P2"
     pairs = []
     # blocks 1 and 2 start P1 and P2 and lie in the truncation, so no root is tight
     for rest in itertools.product(range(1, sizes[1] + 1), *(range(e + 1) for e in sizes[2:])):
         c = (0, *rest)
         members = [c]
         b, tau = 2, -1
-        while (sizes[b - 1] - c[b - 1] if tau > 0 else c[b - 1]) == 1:
-            if b == n:
-                if top:
-                    members.append(zeros if tau > 0 else sizes)
-                break
-            nxt = c[b] + tau
-            if b >= truncated or not 0 <= nxt <= sizes[b]:
-                break
-            c = (zeros if tau > 0 else sizes)[:b] + (nxt,) + c[b + 1 :]
+        while b <= k.climb_last and (sizes[b - 1] - c[b - 1] if tau > 0 else c[b - 1]) == 1:
+            head = (zeros if tau > 0 else sizes)[:b]
+            if b < n:  # block b + 1 gains a tau edge
+                nxt = c[b] + tau
+                if not 0 <= nxt <= sizes[b]:
+                    break
+                head += (nxt,)
+            c = head + c[b + 1 :]
             members.append(c)
             b, tau = b + 1, -tau
         # the mirror's lowest member is the mirror of the highest one
@@ -183,6 +182,7 @@ def _lower_digits(v: Fraction) -> list[int]:
     return negative_cf(1 / (v - ceil(v)))
 
 
+@lru_cache(maxsize=1024)
 def class_counts(p: int, q: int) -> tuple[int, int, int]:
     """(m, n, totally2) of (p,q) from one pass over its two digit strings."""
     v = Fraction(q, p)

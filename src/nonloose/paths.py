@@ -92,14 +92,16 @@ class Block:
 class Knot:
     """Everything the decoration classes of (p,q) share: the path pair, its
     blocks in index order, their edge counts e_b (`sizes`), the truncated
-    blocks, which come first, and the rotation weights w_b (`weights`, see
-    decompose_blocks).  The surgery context is built on first read."""
+    blocks, which come first, the rotation weights w_b (`weights`) and the
+    last breaking index a compatibility climb steps up from (`climb_last`,
+    see decompose_blocks).  The surgery context is built on first read."""
 
     pair: PathPair
     blocks: tuple[Block, ...]
     sizes: tuple[int, ...]
     truncated: tuple[Block, ...]
     weights: tuple[int, ...]
+    climb_last: int
 
     @cached_property
     def context(self):
@@ -197,12 +199,11 @@ def decompose_blocks(pair: PathPair) -> Knot:
         "integer-run suffix merged into a truncated block",
     )
 
-    len1, len2 = len(raw1[0][0]) - 1, len(raw2[0][0]) - 1
-    audit(1 in (len1, len2), "neither leading block has length 1")
-    if len2 == 1:
+    if len(raw2[0][0]) == 2:
         first, second, first_side, second_side = raw2, raw1, "P2", "P1"
     else:
         first, second, first_side, second_side = raw1, raw2, "P1", "P2"
+    audit(len(first[0][0]) == 2, "neither leading block has length 1")
     audit(abs(len(first) - len(second)) <= 1, "truncated block counts differ by more than 1")
 
     blocks: list[Block] = []
@@ -227,7 +228,10 @@ def decompose_blocks(pair: PathPair) -> Knot:
         reach[b.side] += abs(weights[-1]) * e
     audit(reach["P1"] < pair.p and reach["P2"] < abs(pair.q),
           f"({pair.p},{pair.q}) rotation weights reach {reach}, beyond p - 1 or |q| - 1")
-    return Knot(pair, tuple(blocks), sizes, truncated, tuple(weights))
+    # a climb steps up from breaking index b into truncated block b + 1, and
+    # when pq > 0 from a last block on P2 to the totally consistent top
+    last = len(blocks) if pair.pq_positive and blocks[-1].side == "P2" else len(truncated) - 1
+    return Knot(pair, tuple(blocks), sizes, truncated, tuple(weights), last)
 
 
 @lru_cache(maxsize=1024)

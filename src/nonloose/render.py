@@ -25,14 +25,16 @@ def _grid(mrange: MountainRange):
     return tb_lo, tb_hi, rot_lo, rot_hi
 
 
-def _glyph(info) -> str:
+def _style(info) -> tuple[str, str]:
+    """(ASCII glyph, SVG colour) of a point: an extra Legendrian first, then
+    a torsion tower, then a point two families share, then a plain one."""
     if info.extra:
-        return "E"
+        return "E", "black"
     if info.tower:
-        return "*"
+        return "*", "#7a1fa2"
     if info.count >= 2:
-        return "2"
-    return "o"
+        return "2", "#c62828"
+    return "o", "#1565c0"
 
 
 def render_ascii(mrange: MountainRange) -> str:
@@ -49,7 +51,7 @@ def render_ascii(mrange: MountainRange) -> str:
         row = rows.get(tb)
         if row is None:
             row = rows[tb] = ["."] * columns
-        row[rot - rot_lo] = _glyph(info)
+        row[rot - rot_lo] = _style(info)[0]
     blank = ["."] * columns
     for tb in range(tb_hi, tb_lo - 1, -1):
         lines.append(f"{tb:>{width}d} " + " ".join(rows.get(tb, blank)))
@@ -83,14 +85,7 @@ def render_svg(mrange: MountainRange) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for (rot, tb), info in sorted(mrange.points.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
-        if info.extra:
-            color = "black"
-        elif info.tower:
-            color = "#7a1fa2"
-        elif info.count >= 2:
-            color = "#c62828"
-        else:
-            color = "#1565c0"
+        color = _style(info)[1]
         label = (
             f"rot={rot} tb={tb} count={info.count}"
             + (" tower" if info.tower else "")

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import mul
-from types import MappingProxyType
 
 from .decorations import DecoratedPathPair
 from .farey import audit, clockwise_neighbor, make_slope, negative_cf
@@ -116,9 +115,9 @@ class _Context(_ReadOnly):
 
     rot_L is the Farey rotation R = p r_n + q r_m, so its weights must be
     q w_b on P1 and p w_b on P2 (w = `Knot.weights`), audited once per knot.
-    `steps` holds the rot_L step of every compatibility-climb step, whose
-    Gram identities (d3 does not change along an orbit) are audited next to
-    them (`_climb_steps`).
+    `climb_rot` holds rot_L of each compatibility-climb member less the
+    root's; the Gram identities of each climb step (d3 does not change along
+    an orbit) are audited next to it (`_climb_rot`).
     """
 
     def __init__(self, k: Knot):
@@ -166,7 +165,7 @@ class _Context(_ReadOnly):
         lk_weights = tuple(-f * z[t] for t, f in slots)
         farey = tuple((q if b.side == "P1" else p) * w for b, w in zip(blocks, k.weights))
         audit(lk_weights == farey, f"({p},{q}) surgery rot_L weights differ from the Farey ones")
-        vars(self).update(gram=gram, lk_weights=lk_weights, steps=_climb_steps(k, gram, lk_weights))
+        vars(self).update(gram=gram, lk_weights=lk_weights, climb_rot=_climb_rot(k, gram, lk_weights))
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -233,27 +232,29 @@ class _Context(_ReadOnly):
         return tuple(rot) + (0, 0)
 
 
-def _climb_steps(k: Knot, gram, lk_weights) -> MappingProxyType:
-    """{(b, tau): rot_L step lk_weights . Delta} for every compatibility-climb
-    step.  A member breaking at block b, blocks 1..b-1 of sign tau, steps up
-    by Delta(b, tau): -2 tau e_j on blocks j < b, -2 tau (e_b - 1) on block b
-    and +2 tau on block b + 1, which must lie in the truncation (past the
-    last block it is the pq > 0 step to the totally consistent top).  The
-    member is its head h (tau e_j on j < b, tau (e_b - 2) on b) plus a tail
-    past b, so the audited (G Delta)_j = 0 on every block j > b and
-    2 h^T G Delta + Delta^T G Delta = 0 keep c^2 = x^T G x, hence d3, the
-    same at every member of an orbit, whatever its tail."""
+def _climb_rot(k: Knot, gram, lk_weights) -> tuple[int, ...]:
+    """Entry t: rot_L of compatibility-climb member t (from 0) less the
+    root's.  Member t breaks at block b = t + 2, blocks 1..b-1 of sign
+    tau = -1 for even t and +1 for odd t, and steps up (b <= `climb_last`)
+    by Delta: -2 tau e_j on blocks j < b, -2 tau (e_b - 1) on block b and
+    +2 tau on block b + 1 (none past the last block: the pq > 0 step to the
+    totally consistent top).  The member is its head h (tau e_j on j < b,
+    tau (e_b - 2) on b) plus a tail past b, so the audited (G Delta)_j = 0
+    on every block j > b and 2 h^T G Delta + Delta^T G Delta = 0 keep
+    c^2 = x^T G x, hence d3, the same at every member of an orbit, whatever
+    its tail.  The mirror orbit climbs by h -> -h, Delta -> -Delta, which
+    leaves both identities as they are and negates every entry."""
     e, n = k.sizes, len(k.sizes)
-    last = n if k.pair.q > 0 and k.blocks[-1].side == "P2" else len(k.truncated) - 1
-    steps = {}
-    for b, tau in product(range(2, last + 1), (1, -1)):
+    rot = [0]
+    for b in range(2, k.climb_last + 1):
+        tau = 1 if b % 2 else -1
         head = [tau * size for size in e[: b - 1]] + [tau * (e[b - 1] - 2)]
         delta = [-2 * h for h in head[:-1]] + [-2 * tau * (e[b - 1] - 1)] + [2 * tau] * (b < n)
         g_delta = [sum(map(mul, row, delta)) for row in gram]
         audit(not any(g_delta[b:]) and 2 * sum(map(mul, head, g_delta)) + sum(map(mul, delta, g_delta)) == 0,
               f"({k.pair.p},{k.pair.q}) climb step ({b}, {tau}) changes c^2")
-        steps[b, tau] = sum(map(mul, lk_weights, delta))
-    return MappingProxyType(steps)
+        rot.append(rot[-1] + sum(map(mul, lk_weights, delta)))
+    return tuple(rot)
 
 
 def _path_minors(diagonal) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ Run from the repository root:
 
     python tests/golden_bytes.py
 
-It checks four things and exits 1 on any difference:
+It checks five things and exits 1 on any difference:
 
 - ATLAS_SHA256, the sha256 of the concatenated
   `json.dumps(atlas_to_dict(classify(p, q, t)), indent=2)` over 4,180
@@ -16,7 +16,9 @@ It checks four things and exits 1 on any difference:
 - the compact-JSON digest of every sweep and long-chain atlas in
   perfbench/reference.json;
 - every CLI command in perfbench/reference.json: its exit code and the
-  digest of its stdout (the verbs run in this process through `cli.main`).
+  digest of its stdout (the verbs run in this process through `cli.main`);
+- VERIFY_DIGEST, the exit code and stdout digest of `nonloose verify` at
+  its defaults (pmax 7, qmax 14): its seven PASS/FAIL lines.
 
 perfbench/ is only read.  The file name keeps pytest from collecting it.
 """
@@ -44,6 +46,7 @@ ATLAS_COUNT = 4180
 LOW_TORSION_SHA256 = "7e85e78aff3f57caf5107b76b78cdc0402ec3db5104a881bffcfab7df0cd381f"
 LOW_TORSION_COUNT = 2700
 PANEL = ((89, 144), (233, 377), (2, 1001), (2, -1001), (7, -100), (2, -4001))
+VERIFY_DIGEST = (0, "6cc838aeb985db540471a790c57a6b8e")
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
@@ -108,6 +111,11 @@ def main() -> int:
         if (code, digest(out)) != (want_code, want):
             bad.append(f"cli {' '.join(args)}: exit {code}, stdout {digest(out)}; expected exit {want_code}, {want}")
     print(f"cli commands: {len(ref['cli'])}")
+
+    code, out = run_cli(["verify"])
+    if (code, digest(out)) != VERIFY_DIGEST:
+        bad.append(f"verify: exit {code}, stdout {digest(out)}; expected exit {VERIFY_DIGEST[0]}, {VERIFY_DIGEST[1]}")
+    print(f"verify: exit {code}, stdout {digest(out)}")
 
     for line in bad:
         print("MISMATCH", line)

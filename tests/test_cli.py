@@ -160,11 +160,23 @@ def test_mountain_window_guard(capsys, monkeypatch):
 
 def test_invalid_atlas_max_bytes_refused(capsys, monkeypatch):
     # a limit that is not an integer is a usage error naming the variable and
-    # its value; the limit is read on a classify cache miss, hence t = 9
+    # its value
     monkeypatch.setenv("ATLAS_MAX_BYTES", "abc")
     code, out, err = run(capsys, "classify", "5", "8", "--max-torsion2", "9")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: ATLAS_MAX_BYTES must be an integer, got 'abc'"]
+
+
+def test_atlas_limit_read_on_a_cached_atlas(capsys, monkeypatch):
+    # the limit is read on every classify call, before the atlas cache, so an
+    # atlas this process already holds is refused like a fresh one
+    classify(5, 8, 4)
+    for value, message in (("1000", "above the limit of 1000"),
+                           ("abc", "ATLAS_MAX_BYTES must be an integer, got 'abc'")):
+        monkeypatch.setenv("ATLAS_MAX_BYTES", value)
+        code, out, err = run(capsys, "classify", "5", "8")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
 
 
 def test_invalid_atlas_max_cells_refused(capsys, monkeypatch):

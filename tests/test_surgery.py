@@ -18,7 +18,7 @@ from nonloose.decorations import (
 )
 from nonloose.farey import InvariantError
 from nonloose.paths import build_pair, decompose_blocks, knot
-from nonloose.surgery import _climb_steps, _Context, compile_diagram, knot_surgery_context
+from nonloose.surgery import _climb_rot, _Context, compile_diagram, knot_surgery_context
 
 GOLDEN_58 = (
     (-4, -2, -1, -1, -1, -1),
@@ -325,7 +325,7 @@ def test_cached_context_read_only():
         with pytest.raises(TypeError):
             values[0] = 0
     with pytest.raises(TypeError):
-        ctx.steps[2, -1] = 0
+        ctx.climb_rot[0] = 0
     for chain in (ctx.chain_p, ctx.chain_q):
         for values in (chain.digits, chain.tb, chain.stabs):
             with pytest.raises(TypeError):
@@ -357,14 +357,14 @@ PERTURBED_GRAM = """
 import sys
 from nonloose.farey import InvariantError
 from nonloose.paths import knot
-from nonloose.surgery import _climb_steps
+from nonloose.surgery import _climb_rot
 
 k = knot({p}, {q})
 gram = [list(row) for row in k.context.gram]
 gram[-1][0] += 1
 gram[0][-1] += 1
 try:
-    _climb_steps(k, gram, k.context.lk_weights)
+    _climb_rot(k, gram, k.context.lk_weights)
 except InvariantError as exc:
     print(exc)
     sys.exit(0)
@@ -381,11 +381,11 @@ def test_climb_steps_refuse_perturbed_gram(pq):
 
     k = knot(*pq)
     gram = [list(row) for row in k.context.gram]
-    assert _climb_steps(k, gram, k.context.lk_weights) == k.context.steps
+    assert _climb_rot(k, gram, k.context.lk_weights) == k.context.climb_rot
     gram[-1][0] += 1
     gram[0][-1] += 1
     with pytest.raises(InvariantError, match="changes c"):
-        _climb_steps(k, gram, k.context.lk_weights)
+        _climb_rot(k, gram, k.context.lk_weights)
     code = PERTURBED_GRAM.format(p=pq[0], q=pq[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -394,8 +394,10 @@ def test_climb_steps_refuse_perturbed_gram(pq):
 
 def test_climb_steps_match_the_record_climb():
     # every step of every orbit and mirror orbit on the p <= 20, |q| <= 30
-    # range moves x by the table's Delta: rot_L by the stored step, d3 not
-    # at all
+    # range: member t breaks at block t + 2, blocks before it of sign -1 for
+    # even t and +1 for odd t (the mirror the opposite), and the step to
+    # member t + 1 moves rot_L by the table's step (the mirror by its
+    # negation) and d3 not at all
     from oracles import negate, orbit_pairs
 
     for p in range(2, 21):
@@ -404,12 +406,14 @@ def test_climb_steps_match_the_record_climb():
                 continue
             for q in (aq, -aq):
                 ctx = knot_surgery_context(p, q)
+                steps = [b - a for a, b in zip(ctx.climb_rot, ctx.climb_rot[1:])]
                 for climbed, _ in orbit_pairs(p, q):
-                    for orbit in (climbed, [negate(m) for m in climbed]):
-                        for child, parent in zip(orbit, orbit[1:]):
-                            b, tau = child.breaking, child.block_signs[0]
+                    for sign, orbit in ((1, climbed), (-1, [negate(m) for m in climbed])):
+                        for t, (child, parent) in enumerate(zip(orbit, orbit[1:])):
+                            tau = sign * (1 if t % 2 else -1)
+                            assert (child.breaking, child.block_signs[0]) == (t + 2, tau), (p, q, child)
                             assert (ctx.rot_l(parent.signed_counts) - ctx.rot_l(child.signed_counts)
-                                    == ctx.steps[b, tau]), (p, q, child)
+                                    == sign * steps[t]), (p, q, child)
                             assert ctx.d3(parent.signed_counts) == ctx.d3(child.signed_counts)
 
 
