@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _dump(data) -> str:
     import json  # only the json formats pay for it
 
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _add_knot_args(sub):
@@ -175,17 +175,7 @@ def _cmd_surgery(args) -> int:
     from .serialize import diagram_to_dict
 
     d = parse_decoration(args.p, args.q, args.decoration)
-    diagram = compile_diagram(d)
-    sigma, chi = diagram.sigma, diagram.chi
-    data = diagram_to_dict(diagram)
-    data.update(
-        {
-            "sigma": sigma,
-            "chi": chi,
-            "d3": diagram.d3,
-            "rot_surgered": diagram.rot_l,
-        }
-    )
+    data = diagram_to_dict(compile_diagram(d))
     if args.format == "json":
         sys.stdout.write(_dump(data))
         return 0
@@ -199,7 +189,7 @@ def _cmd_surgery(args) -> int:
     print("linking matrix:")
     for row in data["linking_matrix"]:
         print("  [" + " ".join(f"{x:4d}" for x in row) + "]")
-    print(f"sigma = {sigma}, chi = {chi}, d3 = {data['d3']}, rot(L) = {data['rot_surgered']}")
+    print("sigma = {sigma}, chi = {chi}, d3 = {d3}, rot(L) = {rot_surgered}".format_map(data))
     return 0
 
 

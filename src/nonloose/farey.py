@@ -33,17 +33,10 @@ class Slope:
     def is_infinite(self) -> bool:
         return self.den == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
     def as_fraction(self) -> Fraction:
         if self.is_infinite:
             raise ValueError("infinity has no fractional value")
         return Fraction(self.num, self.den)
-
-    def floor(self) -> int:
-        return self.num // self.den
 
     def ceil(self) -> int:
         return -((-self.num) // self.den)

@@ -7,19 +7,16 @@ from .atlas import MountainRange, _env_limit
 MAX_CELLS = 10_000
 
 
-def _cell_budget() -> int:
-    return _env_limit("ATLAS_MAX_CELLS", MAX_CELLS)
-
-
 def _grid(mrange: MountainRange):
     """The box to draw, refused before any point is built when it has more
     cells than the budget."""
     tb_lo, tb_hi = mrange.tb_range
     rot_lo, rot_hi = mrange.rot_range
     cells = (tb_hi - tb_lo + 1) * (rot_hi - rot_lo + 1)
-    if cells > _cell_budget():
+    limit = _env_limit("ATLAS_MAX_CELLS", MAX_CELLS)
+    if cells > limit:
         raise ValueError(
-            f"window of {cells} cells exceeds the limit of {_cell_budget()}; "
+            f"window of {cells} cells exceeds the limit of {limit}; "
             "narrow the tb window or raise ATLAS_MAX_CELLS"
         )
     return tb_lo, tb_hi, rot_lo, rot_hi

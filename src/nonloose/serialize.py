@@ -34,7 +34,7 @@ def family_to_dict(f: KnotFamilyRecord) -> dict:
         "torsion2": f.torsion2,
         "stab_plus": f.stab_plus,
         "stab_minus": f.stab_minus,
-        "merge_offsets": [list(x) for x in f.merge_offsets] if f.merge_offsets else [],
+        "merge_offsets": [list(x) for x in f.merge_offsets],
     }
 
 
@@ -145,6 +145,10 @@ def diagram_to_dict(diagram: SurgeryDiagram) -> dict:
         ],
         "linking_matrix": [list(row) for row in diagram.linking_matrix],
         "plus_one_count": diagram.plus_one_count,
+        "sigma": diagram.sigma,
+        "chi": diagram.chi,
+        "d3": diagram.d3,
+        "rot_surgered": diagram.rot_l,
     }
 
 

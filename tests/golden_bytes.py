@@ -30,7 +30,6 @@ import hashlib
 import io
 import json
 import sys
-from math import gcd
 from pathlib import Path
 from time import perf_counter
 
@@ -39,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from nonloose import cli  # noqa: E402
 from nonloose.atlas import classify  # noqa: E402
+from nonloose.checks import knot_classes  # noqa: E402
 from nonloose.serialize import atlas_to_dict  # noqa: E402
 
 ATLAS_SHA256 = "34bb57925dd4c27c92c01e1585548a4fe7909aed8360bd29d90a604beabce510"
@@ -51,12 +51,7 @@ REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
 def golden_knots() -> list[tuple[int, int]]:
-    out = []
-    for p in range(2, 60):
-        for aq in range(p + 1, 61):
-            if gcd(p, aq) == 1:
-                out += [(p, aq), (p, -aq)]
-    return out + list(PANEL)
+    return [*knot_classes(59, 60), *PANEL]
 
 
 def atlas_sha256(truncations=(2, 4), qmax=None) -> tuple[str, int]:

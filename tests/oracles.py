@@ -189,7 +189,7 @@ def tight_count_solid_torus_lower(r: Slope) -> int:
     """|Tight(S_inf; r)|: solid torus with lower meridian infinity."""
     if r.is_infinite:
         raise ValueError("dividing slope must be finite")
-    if r.is_integer:
+    if r.den == 1:
         return 1
     return _tight_count(_lower_digits(r.as_fraction()))
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from math import gcd
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as hst
 
 from nonloose.atlas import (
     PointInfo,
+    _lines,
     classify,
     default_window,
     mountain_range,
@@ -587,3 +589,43 @@ def test_members_carry_orbit_d3_and_rot_on_sweep(sweep_atlases):
 @given(_class_outside_sweep())
 def test_members_carry_orbit_d3_and_rot_outside_sweep(pq):
     _check_members_against_orbit(classify(*pq, max_torsion2=2))
+
+
+def _check_transverse_is_leg_limit(atlas):
+    # the transverse quotient is the negative-stabilization limit of the
+    # Legendrian legs: per structure (the pq > 0 V aside), sl = tb - rot of
+    # every L_- leg unbounded below (the X leg, the wing peaks, their tower
+    # and lo copies) and of every free wing crossing at the least leg
+    # torsion, clipped to torsion2 <= max_torsion2, or the lowest pair when
+    # the clip leaves none; the sets match the d3's entries one to one
+    p, q, t = atlas.p, atlas.q, atlas.max_torsion2
+    pq = p * q
+    window = (-abs(pq) - 1, pq)  # below every crossing, up to tb = pq
+    entries = transverse_map(atlas)
+    for d3, structs in structure_map(atlas).items():
+        want = Counter()
+        for st in structs:
+            if st.exceptional and pq > 0:
+                continue
+            legs = {(-f.rot_intercept, f.torsion2) for f in st.families
+                    if f.rot_slope == +1 and f.tb_min is None}
+            low = min(t2 for _, t2 in legs)
+            for fid, _, cs, _, _, _, _ in _lines(st, p, q, *window):
+                if fid == "wing_region-":
+                    legs |= {(-c, low) for c in cs}
+            kept = frozenset(pair for pair in legs if pair[1] <= t)
+            want[kept or frozenset([min(legs)])] += 1
+        got = Counter(frozenset((c.sl, c.torsion2) for c in entry.classes)
+                      for entry in entries.get(d3, []))
+        assert got == want, (p, q, t, d3)
+
+
+def test_transverse_is_leg_limit_on_sweep(sweep_atlases):
+    for atlas in sweep_atlases.values():
+        _check_transverse_is_leg_limit(atlas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_class_outside_sweep(), hst.integers(0, 4))
+def test_transverse_is_leg_limit_outside_sweep(pq, t):
+    _check_transverse_is_leg_limit(classify(*pq, max_torsion2=t))

@@ -230,6 +230,18 @@ def test_verify_small(capsys):
     assert len(lines) == 7 and all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_passes_under_optimize():
+    # the cross-checks verify runs go through farey.audit, which python -O keeps
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-O", "-m", "nonloose.cli", "verify", "--pmax", "5", "--qmax", "12"]
+    proc = subprocess.run(cmd, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [l for l in proc.stdout.decode().splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 7 and all(l.startswith("PASS") for l in lines)
+
+
 def test_classify_deterministic_across_processes():
     import subprocess
     import sys

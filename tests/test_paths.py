@@ -241,7 +241,7 @@ def test_shorten_uniform_signs_gives_single_edge():
             got = shorten(vertices, signs, anchor=len(left) - 1)
             assert got != OVERTWISTED
             vs, ss = got
-            floor = pair.slope.floor()
+            floor = pair.slope.num // pair.slope.den
             ceil = pair.slope.ceil()
             assert [str(v) for v in vs] == [str(floor), str(ceil)]
             assert ss == (sign,)

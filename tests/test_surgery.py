@@ -1,6 +1,8 @@
 """Surgery presentations: golden matrices, signatures, d3 values."""
 
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -351,20 +353,21 @@ def test_context_refuses_perturbed_rotation_weights():
         weights = k.weights[:b] + (k.weights[b] + 1,) + k.weights[b + 1:]
         with pytest.raises(InvariantError):
             _Context(dataclasses.replace(k, weights=weights))
+    message = _refusal_under_optimize(
+        (5, 8), "_Context(dataclasses.replace(k, weights=(k.weights[0] + 1,) + k.weights[1:]))"
+    )
+    assert "rot_L weights differ from the Farey ones" in message
 
 
-PERTURBED_GRAM = """
-import sys
+REFUSED_UNDER_OPTIMIZE = """
+import dataclasses, sys
 from nonloose.farey import InvariantError
 from nonloose.paths import knot
-from nonloose.surgery import _climb_rot
+from nonloose.surgery import _climb_rot, _Context
 
 k = knot({p}, {q})
-gram = [list(row) for row in k.context.gram]
-gram[-1][0] += 1
-gram[0][-1] += 1
 try:
-    _climb_rot(k, gram, k.context.lk_weights)
+    {statements}
 except InvariantError as exc:
     print(exc)
     sys.exit(0)
@@ -372,13 +375,19 @@ sys.exit(1)
 """
 
 
+def _refusal_under_optimize(pq, statements):
+    """The message of the InvariantError that one line of statements raises
+    on k = knot(*pq) in a python -O child, which strips asserts."""
+    code = REFUSED_UNDER_OPTIMIZE.format(p=pq[0], q=pq[1], statements=statements)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "accepted under -O"
+    return proc.stdout.decode()
+
+
 @pytest.mark.parametrize("pq", [(5, 8), (5, -8), (89, 144), (7, -100)])
 def test_climb_steps_refuse_perturbed_gram(pq):
     # the per-knot climb-step identities are what keeps d3 constant along an
     # orbit; a Gram form that breaks them is refused, also under python -O
-    import subprocess
-    import sys
-
     k = knot(*pq)
     gram = [list(row) for row in k.context.gram]
     assert _climb_rot(k, gram, k.context.lk_weights) == k.context.climb_rot
@@ -386,10 +395,11 @@ def test_climb_steps_refuse_perturbed_gram(pq):
     gram[0][-1] += 1
     with pytest.raises(InvariantError, match="changes c"):
         _climb_rot(k, gram, k.context.lk_weights)
-    code = PERTURBED_GRAM.format(p=pq[0], q=pq[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert b"changes c^2" in proc.stdout
+    message = _refusal_under_optimize(pq, (
+        "gram = [list(row) for row in k.context.gram]; gram[-1][0] += 1; gram[0][-1] += 1; "
+        "_climb_rot(k, gram, k.context.lk_weights)"
+    ))
+    assert "changes c^2" in message
 
 
 def test_climb_steps_match_the_record_climb():
