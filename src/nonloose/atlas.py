@@ -388,7 +388,13 @@ def _x_structure(pair, peaks, orbit_strings, abs_r, totally2, special_pos, max_t
         _x_legs(fams, crossing, range(base + 2, max_torsion2 + 1, 2), threshold)
         notes.append(intern(f"torsion towers continue unbounded; truncated at torsion2 = {max_torsion2}"))
         # the negative-stabilization limit picks up the below-threshold
-        # torsion of the pq > 0 special class
+        # torsion of the pq > 0 special class, whose legs there sit one
+        # torsion2 level up.  The tower is clipped to max_torsion2 = t and the
+        # legs are not: at even t >= 2 the own structure's entry drops the
+        # legs' top level t + 1 (classify(2, 3, 2): [1] against legs [1, 3]),
+        # at odd t >= 3 the half-Lutz entry does.  When start > t (t = 0 for
+        # the own structure, t <= 1 for the half-Lutz one) the entry is
+        # [start] alone, above t.  perfbench/reference.json pins these bytes.
         start = base + special_pos
         classes = [
             TransverseClass(crossing, torsion2, None, "x_leg_minus")

@@ -23,8 +23,9 @@ from .invariants import cross_check_rot, rotation_data, self_linking
 from .paths import build_pair
 from .surgery import compile_diagram, knot_surgery_context
 
-# checks, render and serialize are imported by the verbs that use them, so a
-# CLI run loads only what its verb needs
+# checks, render, serialize and json are imported where they are used, so a
+# verb skips those it does not need; the package __init__ still loads atlas,
+# decorations, invariants, paths and surgery for every verb
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,51 +35,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dump(data) -> str:
-    import json  # only the json formats pay for it
-
-    return json.dumps(data, indent=2) + "\n"
-
-
-def _add_knot_args(sub):
-    sub.add_argument("p", type=int, help="longitudinal winding, p > 1")
-    sub.add_argument("q", type=int, help="meridional winding, |q| > p, signed")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="nonloose", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    sc = subs.add_parser("classify", help="full atlas of one torus knot class")
-    _add_knot_args(sc)
-    sc.add_argument("--max-torsion2", type=int, default=4)
-    sc.add_argument("--format", choices=("json", "text"), default="text")
+    def knot_verb(run, name, summary, formats=("json", "text"), default="text", **options):
+        # argparse prints arguments in the order they are added: p, q, the
+        # verb's options (`opt_name` becomes --opt-name), then --format
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("p", type=int, help="longitudinal winding, p > 1")
+        sub.add_argument("q", type=int, help="meridional winding, |q| > p, signed")
+        for dest, kwargs in options.items():
+            sub.add_argument("--" + dest.replace("_", "-"), **kwargs)
+        sub.add_argument("--format", choices=formats, default=default)
+        sub.set_defaults(run=run)
 
-    sp = subs.add_parser("paths", help="the canonical Farey path pair and blocks")
-    _add_knot_args(sp)
-    sp.add_argument("--format", choices=("json", "text"), default="text")
-
-    sd = subs.add_parser("decorations", help="decoration classes with invariants")
-    _add_knot_args(sd)
-    sd.add_argument("--format", choices=("json", "text"), default="text")
-
-    ss = subs.add_parser("surgery", help="surgery presentation of one decoration")
-    _add_knot_args(ss)
-    ss.add_argument("--decoration", required=True, help='e.g. "P1:+-|P2:++-"')
-    ss.add_argument("--format", choices=("json", "text"), default="text")
-
-    si = subs.add_parser("invariants", help="rotation data of one decoration")
-    _add_knot_args(si)
-    si.add_argument("--decoration", required=True)
-    si.add_argument("--format", choices=("json", "text"), default="text")
-
-    sm = subs.add_parser("mountain", help="mountain range of one structure")
-    _add_knot_args(sm)
-    sm.add_argument("--d3", type=int, required=True)
-    sm.add_argument("--max-torsion2", type=int, default=4)
-    sm.add_argument("--tb-min", type=int, default=None)
-    sm.add_argument("--tb-max", type=int, default=None)
-    sm.add_argument("--format", choices=("ascii", "json", "svg"), default="ascii")
+    knot_verb(_cmd_classify, "classify", "full atlas of one torus knot class",
+              max_torsion2=dict(type=int, default=4))
+    knot_verb(_cmd_paths, "paths", "the canonical Farey path pair and blocks")
+    knot_verb(_cmd_decorations, "decorations", "decoration classes with invariants")
+    knot_verb(_cmd_surgery, "surgery", "surgery presentation of one decoration",
+              decoration=dict(required=True, help='e.g. "P1:+-|P2:++-"'))
+    knot_verb(_cmd_invariants, "invariants", "rotation data of one decoration",
+              decoration=dict(required=True))
+    knot_verb(_cmd_mountain, "mountain", "mountain range of one structure", ("ascii", "json", "svg"), "ascii",
+              d3=dict(type=int, required=True), max_torsion2=dict(type=int, default=4),
+              tb_min=dict(type=int), tb_max=dict(type=int))
 
     sv = subs.add_parser("verify", help="run the property and golden suites")
     sv.add_argument("--pmax", type=int, default=7)
@@ -86,58 +68,58 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict | str:
     atlas = classify(args.p, args.q, args.max_torsion2)
     if args.format == "json":
         from .serialize import atlas_to_dict
 
-        sys.stdout.write(_dump(atlas_to_dict(atlas)))
-        return 0
-    print(f"({args.p},{args.q})-torus knot: counts {dict(atlas.counts)}")
+        return atlas_to_dict(atlas)
+    lines = [f"({args.p},{args.q})-torus knot: counts {dict(atlas.counts)}"]
     for st in atlas.structures:
         flags = []
         if st.exceptional:
             flags.append("exceptional")
         if st.half_integer_torsion:
             flags.append("half-integer torsion")
-        print(f"d3 = {st.d3}" + (f"  [{', '.join(flags)}]" if flags else ""))
+        lines.append(f"d3 = {st.d3}" + (f"  [{', '.join(flags)}]" if flags else ""))
         for f in st.families:
             span = f"tb {f.tb_min if f.tb_min is not None else '-inf'}..{f.tb_max if f.tb_max is not None else 'inf'}"
             law = f"rot = {f.rot_slope}*tb{f.rot_intercept:+d}" if f.rot_slope else f"rot = {f.rot_intercept}"
-            print(
+            lines.append(
                 f"  {f.id:8s} {f.kind:13s} {span:18s} {law:18s} torsion2={f.torsion2} "
                 f"S+={f.stab_plus} S-={f.stab_minus}"
             )
         for note in st.notes:
-            print(f"  note: {note}")
-    print("transverse classes:")
+            lines.append(f"  note: {note}")
+    lines.append("transverse classes:")
     for t in atlas.transverse:
         chain = ", ".join(
             f"sl={c.sl} torsion2={c.torsion2}" + ("" if c.next is None else " -> next")
             for c in t.classes
         )
-        print(f"  d3 = {t.d3}: {chain}")
-    return 0
+        lines.append(f"  d3 = {t.d3}: {chain}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> dict | str:
     from .serialize import paths_to_dict
 
     pair = build_pair(args.p, args.q)
     data = paths_to_dict(pair)
     if args.format == "json":
-        sys.stdout.write(_dump(data))
-        return 0
-    print("P1:", " -> ".join(data["P1"]))
-    print("P2:", " -> ".join(data["P2"]))
-    print("P2 truncated:", " -> ".join(data["P2_truncated"]))
+        return data
+    lines = [
+        f"P1: {' -> '.join(data['P1'])}",
+        f"P2: {' -> '.join(data['P2'])}",
+        f"P2 truncated: {' -> '.join(data['P2_truncated'])}",
+    ]
     for b in data["blocks"]:
         tag = "" if b["in_truncation"] else "  (integer-run suffix)"
-        print(f"block {b['index']} [{b['side']}]: {' -> '.join(b['vertices'])}{tag}")
-    return 0
+        lines.append(f"block {b['index']} [{b['side']}]: {' -> '.join(b['vertices'])}{tag}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_decorations(args) -> int:
+def _cmd_decorations(args) -> dict | str:
     rows = []
     ctx = knot_surgery_context(args.p, args.q)
     for d in enumerate_decorations(args.p, args.q):
@@ -156,44 +138,43 @@ def _cmd_decorations(args) -> int:
             }
         )
     if args.format == "json":
-        sys.stdout.write(_dump({"knot": {"p": args.p, "q": args.q}, "classes": rows}))
-        return 0
+        return {"knot": {"p": args.p, "q": args.q}, "classes": rows}
+    lines = []
     for row in rows:
         tags = []
         if row["tight"]:
             tags.append("tight")
         if row["totally_2_inconsistent"]:
             tags.append("tot2inc")
-        print(
+        lines.append(
             f"{row['decoration']:24s} {row['tuple']:18s} {row['consistency']:20s} "
             f"d3={row['d3']:4d} R={row['R']:5d} {' '.join(tags)}"
         )
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_surgery(args) -> int:
+def _cmd_surgery(args) -> dict | str:
     from .serialize import diagram_to_dict
 
     d = parse_decoration(args.p, args.q, args.decoration)
     data = diagram_to_dict(compile_diagram(d))
     if args.format == "json":
-        sys.stdout.write(_dump(data))
-        return 0
-    print("rational coefficients:", ", ".join(data["rational_coefficients"]))
+        return data
+    lines = ["rational coefficients: " + ", ".join(data["rational_coefficients"])]
     for c in data["components"]:
         kind = "(+1)" if c["is_plus_one"] else "(-1)"
-        print(
+        lines.append(
             f"  {kind} contact, smooth {c['smooth_coefficient']:>6s}, "
             f"rot {c['rotation']:3d}, stabilizations {c['stabilizations']}"
         )
-    print("linking matrix:")
+    lines.append("linking matrix:")
     for row in data["linking_matrix"]:
-        print("  [" + " ".join(f"{x:4d}" for x in row) + "]")
-    print("sigma = {sigma}, chi = {chi}, d3 = {d3}, rot(L) = {rot_surgered}".format_map(data))
-    return 0
+        lines.append("  [" + " ".join(f"{x:4d}" for x in row) + "]")
+    lines.append("sigma = {sigma}, chi = {chi}, d3 = {d3}, rot(L) = {rot_surgered}".format_map(data))
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> dict | str:
     d = parse_decoration(args.p, args.q, args.decoration)
     data = rotation_data(d)
     ctx = knot_surgery_context(args.p, args.q)
@@ -208,14 +189,11 @@ def _cmd_invariants(args) -> int:
         "sl_at_tb_pq": self_linking(args.p * args.q, data.R),
     }
     if args.format == "json":
-        sys.stdout.write(_dump(payload))
-        return 0
-    for k, v in payload.items():
-        print(f"{k} = {v}")
-    return 0
+        return payload
+    return "".join(f"{k} = {v}\n" for k, v in payload.items())
 
 
-def _cmd_mountain(args) -> int:
+def _cmd_mountain(args) -> dict | str:
     atlas = classify(args.p, args.q, args.max_torsion2)
     window = None
     if args.tb_min is not None or args.tb_max is not None:
@@ -226,12 +204,10 @@ def _cmd_mountain(args) -> int:
     if args.format == "json":
         from .serialize import mountain_to_dict
 
-        sys.stdout.write(_dump(mountain_to_dict(mr)))
-        return 0
+        return mountain_to_dict(mr)
     from .render import render_ascii, render_svg
 
-    sys.stdout.write(render_svg(mr) if args.format == "svg" else render_ascii(mr))
-    return 0
+    return render_svg(mr) if args.format == "svg" else render_ascii(mr)
 
 
 def _cmd_verify(args) -> int:
@@ -246,22 +222,18 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "paths": _cmd_paths,
-    "decorations": _cmd_decorations,
-    "surgery": _cmd_surgery,
-    "invariants": _cmd_invariants,
-    "mountain": _cmd_mountain,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.verb](args)
+        if args.verb == "verify":
+            code = _cmd_verify(args)
+        else:
+            out, code = args.run(args), 0
+            if args.format == "json":
+                import json  # only the json formats pay for it
+
+                out = json.dumps(out, indent=2) + "\n"
+            sys.stdout.write(out)
         sys.stdout.flush()
         return code
     except ValueError as exc:

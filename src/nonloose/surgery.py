@@ -43,10 +43,6 @@ class SurgeryDiagram:
     d3: int  # of the presented structure, tight standard structure at 0
     rot_l: int  # rotation number of the pattern knot after surgery
 
-    @property
-    def rotation_vector(self) -> tuple[int, ...]:
-        return tuple(c.rotation for c in self.components)
-
 
 class _ReadOnly:
     """Set once, in __init__ through vars(self): cached contexts are shared."""

@@ -4,7 +4,7 @@ Run from the repository root:
 
     python tests/golden_bytes.py
 
-It checks five things and exits 1 on any difference:
+It checks six things and exits 1 on any difference:
 
 - ATLAS_SHA256, the sha256 of the concatenated
   `json.dumps(atlas_to_dict(classify(p, q, t)), indent=2)` over 4,180
@@ -17,6 +17,9 @@ It checks five things and exits 1 on any difference:
   perfbench/reference.json;
 - every CLI command in perfbench/reference.json: its exit code and the
   digest of its stdout (the verbs run in this process through `cli.main`);
+- MOUNTAIN_JSON_DIGEST, the digest of the exit codes and stdout of
+  `mountain p q --d3 d --format json` for each (p, q, d) among those
+  commands' mountain ranges, which they print only as ASCII and SVG;
 - VERIFY_DIGEST, the exit code and stdout digest of `nonloose verify` at
   its defaults (pmax 7, qmax 14): its seven PASS/FAIL lines.
 
@@ -47,6 +50,7 @@ LOW_TORSION_SHA256 = "7e85e78aff3f57caf5107b76b78cdc0402ec3db5104a881bffcfab7df0
 LOW_TORSION_COUNT = 2700
 PANEL = ((89, 144), (233, 377), (2, 1001), (2, -1001), (7, -100), (2, -4001))
 VERIFY_DIGEST = (0, "6cc838aeb985db540471a790c57a6b8e")
+MOUNTAIN_JSON_DIGEST = (56, "06ab44feac4f2336faff5f5b10df863f")
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
@@ -106,6 +110,13 @@ def main() -> int:
         if (code, digest(out)) != (want_code, want):
             bad.append(f"cli {' '.join(args)}: exit {code}, stdout {digest(out)}; expected exit {want_code}, {want}")
     print(f"cli commands: {len(ref['cli'])}")
+
+    ranges = dict.fromkeys(tuple(args[1:5]) for args, _, _ in ref["cli"] if args[0] == "mountain")
+    runs = b"".join(b"%d\n%s" % run_cli(["mountain", *key, "--format", "json"]) for key in ranges)
+    if (len(ranges), digest(runs)) != MOUNTAIN_JSON_DIGEST:
+        bad.append(f"mountain --format json: {digest(runs)} over {len(ranges)} ranges, "
+                   f"expected {MOUNTAIN_JSON_DIGEST[1]} over {MOUNTAIN_JSON_DIGEST[0]}")
+    print(f"mountain --format json over {len(ranges)} ranges: {digest(runs)}")
 
     code, out = run_cli(["verify"])
     if (code, digest(out)) != VERIFY_DIGEST:

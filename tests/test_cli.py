@@ -230,6 +230,15 @@ def test_verify_small(capsys):
     assert len(lines) == 7 and all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_failure_exits_2(capsys, monkeypatch):
+    # one failing check prints its FAIL line and makes verify exit 2
+    import nonloose.checks as checks
+
+    monkeypatch.setattr(checks, "run_all", lambda pmax, qmax: iter([("counting formulas", False, "m off by one")]))
+    code, out, err = run(capsys, "verify")
+    assert (code, out, err) == (2, "FAIL  counting formulas: m off by one\n", "")
+
+
 def test_verify_passes_under_optimize():
     # the cross-checks verify runs go through farey.audit, which python -O keeps
     import subprocess

@@ -4,6 +4,8 @@
   paper's cross-checks go through `farey.audit`, which `python -O` keeps.
 - No unbounded cache under src/nonloose.
 - No code under src/nonloose that only the tests read.
+- No public method or property name under src/nonloose defined by two
+  top-level classes.
 
 Each file is parsed once.  perfbench/ is only read.
 """
@@ -92,3 +94,17 @@ def test_no_src_code_that_only_tests_read():
         "top-level def or class, or method or property of one, under src/nonloose "
         f"that only tests read (move it to tests/oracles.py): {bad}"
     )
+
+
+def test_no_public_member_name_in_two_classes():
+    # the rule above matches a member by its name alone, so a dead member is
+    # hidden by a live one of the same name in another class
+    classes = {}
+    for path in SRC:
+        for node in TREES[path].body:
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
+                        classes.setdefault(member.name, []).append(f"{_where(path, member)} {node.name}")
+    bad = {name: where for name, where in classes.items() if len(where) > 1}
+    assert not bad, f"public method or property name defined by two classes under src/nonloose (rename one): {bad}"

@@ -87,7 +87,7 @@ def test_rotation_vectors_58():
     }
     produced = set()
     for d in enumerate_decorations(5, 8):
-        vec = compile_diagram(d).rotation_vector
+        vec = tuple(c.rotation for c in compile_diagram(d).components)
         produced.add(vec if vec in golden else tuple(-x for x in vec))
     assert produced == golden
 
@@ -99,7 +99,7 @@ def test_rotation_vectors_5m8():
     }
     produced = set()
     for d in enumerate_decorations(5, -8):
-        vec = compile_diagram(d).rotation_vector
+        vec = tuple(c.rotation for c in compile_diagram(d).components)
         norm = vec if vec in golden else tuple(-x for x in vec)
         if norm in golden:
             produced.add(norm)
@@ -442,6 +442,6 @@ def test_rotation_vector_2_minus_general():
         for k in range(n):
             signs2 = "+" + "+" * k + "-" * (n - 1 - k)
             d = parse_decoration(2, q, f"P1:-|P2:{signs2}")
-            vec = compile_diagram(d).rotation_vector
+            vec = tuple(c.rotation for c in compile_diagram(d).components)
             l = 2 * k + 1 - n
             assert vec == (-1, -(l + 1), -1, 0, 0)
