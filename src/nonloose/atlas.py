@@ -13,8 +13,7 @@ convex torsion stays integral.
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from sys import intern
@@ -284,25 +283,17 @@ def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
 
     for st in structures:
         audit(parity_ok(pq > 0, st.half_integer_torsion, st.d3), "d3 parity law violated")
-
-    structures.sort(key=lambda s: (-s.d3, s.half_integer_torsion, s.orbits))
-    transverse.sort(key=lambda t: (-t.d3, [ (c.sl, c.torsion2) for c in t.classes ]))
-
-    by_d3 = Counter(st.d3 for st in structures)
-    final = []
-    for st in structures:
-        if by_d3[st.d3] > 1:
-            note = (
-                "another mountain range shares this d3; the ranges are reported "
-                "separately and are conjecturally distinct structures"
-            )
-            st = replace(st, notes=st.notes + (note,))
-        final.append(st)
+    # an overtwisted structure is determined up to isotopy by the homotopy
+    # class of its plane field (Eliashberg 1989), and on S^3 that class is
+    # d3: two mountain ranges with one d3 would be one structure counted twice
+    audit(len({st.d3 for st in structures}) == len(structures), "each d3 carries one structure")
+    structures.sort(key=lambda s: -s.d3)
+    transverse.sort(key=lambda t: -t.d3)
 
     audit(len(pairs) == n_count, "orbit pairs must number n(p,q)")
-    audit(len(final) == n_count + t2_count // 2, "structures must number n + totally2/2")
+    audit(len(structures) == n_count + t2_count // 2, "structures must number n + totally2/2")
     counts = MappingProxyType({"m": m_count, "n": n_count, "totally2": t2_count})
-    return Atlas(p, q, max_torsion2, counts, tuple(final), tuple(transverse))
+    return Atlas(p, q, max_torsion2, counts, tuple(structures), tuple(transverse))
 
 
 def _exceptional_positive(pair, peaks, d3_value, orbit_strings, abs_r) -> Structure:
@@ -534,8 +525,6 @@ def _lines(st, p, q, tb_lo, tb_hi):
         if f.kind == "extra_Le":
             if tb_lo <= f.tb_max <= tb_hi:
                 yield f.id, 0, (f.rot_at_tbmax,), f.tb_max, f.tb_max, False, True
-            continue
-        if f.rot_slope == 0:
             continue
         lo = tb_lo if f.tb_min is None else max(tb_lo, f.tb_min)
         hi = tb_hi if f.tb_max is None else min(tb_hi, f.tb_max)

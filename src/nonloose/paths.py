@@ -128,17 +128,13 @@ def build_pair(p: int, q: int) -> PathPair:
     p1_vertices = [cf_value(exp.digits[:k]) for k in range(len(exp.digits), 0, -1)]
     p1 = FareyPath(tuple(p1_vertices))
 
+    end = make_slope(-1 if exp.regime == NEGATIVE else slope.ceil(), 1)
     p2_vertices = [slope]
     digits = exp.digits
-    if exp.regime == NEGATIVE:
-        while p2_vertices[-1] != make_slope(-1, 1):
-            digits = cf_step_increment(digits)
-            p2_vertices.append(cf_value(digits))
-    else:
-        ceiling = make_slope(slope.ceil(), 1)
-        while p2_vertices[-1] != ceiling:
-            digits = cf_step_increment(digits)
-            p2_vertices.append(cf_value(digits))
+    while p2_vertices[-1] != end:
+        digits = cf_step_increment(digits)
+        p2_vertices.append(cf_value(digits))
+    if exp.regime != NEGATIVE:
         p2_vertices.append(INFINITY)
     p2 = FareyPath(tuple(p2_vertices))
 
@@ -151,13 +147,8 @@ def p2_truncated(pair: PathPair) -> FareyPath:
     """P2 up to ceil(q/p); the whole of P2 when pq > 0 or ceil(q/p) = -1."""
     if pair.pq_positive:
         return pair.p2
-    ceiling = make_slope(pair.slope.ceil(), 1)
-    vertices = []
-    for v in pair.p2:
-        vertices.append(v)
-        if v == ceiling:
-            break
-    return FareyPath(tuple(vertices))
+    vertices = pair.p2.vertices
+    return FareyPath(vertices[: vertices.index(make_slope(pair.slope.ceil(), 1)) + 1])
 
 
 def _split_blocks(path: FareyPath) -> list[tuple[tuple[Slope, ...], Slope]]:

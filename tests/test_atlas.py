@@ -3,6 +3,8 @@
 import copy
 import json
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -20,7 +22,7 @@ from nonloose.atlas import (
 )
 from nonloose.cli import main
 from nonloose.decorations import count_m, parse_decoration
-from nonloose.farey import cf_expand
+from nonloose.farey import InvariantError, cf_expand
 from nonloose.invariants import half_lutz_d3, rotation_data
 from nonloose.paths import Knot, knot
 from nonloose.surgery import compile_diagram, knot_surgery_context
@@ -290,6 +292,53 @@ def test_parity_and_counts_sweep():
                 assert len(excs) == (1 if q < 0 else 1)
 
 
+ONE_D3 = """
+from dataclasses import replace
+
+import nonloose.atlas as atlas
+
+x_structure, integer_d3 = atlas._x_structure, []
+
+
+def one_d3(*args):
+    # the second integer-torsion structure reports the first one's d3, which
+    # keeps the d3 parity law
+    st, tr = x_structure(*args)
+    if not st.half_integer_torsion:
+        integer_d3.append(st.d3)
+        if len(integer_d3) == 2:
+            st, tr = replace(st, d3=integer_d3[0]), replace(tr, d3=integer_d3[0])
+    return st, tr
+"""
+
+ONE_D3_UNDER_OPTIMIZE = ONE_D3 + """
+from nonloose.farey import InvariantError
+
+atlas._x_structure = one_d3
+try:
+    atlas._classify_cached.__wrapped__(5, 8, 2)
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_two_structures_with_one_d3_refused(monkeypatch):
+    # an overtwisted structure on S^3 is determined by its d3 (Eliashberg),
+    # so an assembly that reports two mountain ranges with one d3 is an
+    # engine fault, refused also under python -O
+    import nonloose.atlas as atlas
+
+    scope = {}
+    exec(ONE_D3, scope)
+    monkeypatch.setattr(atlas, "_x_structure", scope["one_d3"])
+    with pytest.raises(InvariantError, match="^each d3 carries one structure$"):
+        atlas._classify_cached.__wrapped__(5, 8, 2)
+    proc = subprocess.run([sys.executable, "-O", "-c", ONE_D3_UNDER_OPTIMIZE],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "each d3 carries one structure\n"
+
+
 def test_cached_counts_read_only():
     # classify hands out its cached atlas: a caller's write must not reach
     # later calls
@@ -534,7 +583,8 @@ def test_mountain_range_matches_eager_fill():
 
 def test_cli_mountain_json_matches_eager_fill(capsys):
     # a 601-row window on the exceptional structure of (5,8): the JSON
-    # format has no cell guard, so every point is emitted
+    # format has no cell guard and its size guard admits the window, so
+    # every point is emitted
     assert main(["mountain", "5", "8", "--d3", "1", "--format", "json",
                  "--tb-min", "-300", "--tb-max", "300"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -158,6 +158,27 @@ def test_mountain_window_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_mountain_json_size_guard(capsys, monkeypatch):
+    # a 200,001-row window prints about 31 MB of JSON; under a 1 MB limit it
+    # is refused before the mountain range fills a point
+    import nonloose.cli as cli
+    from nonloose.atlas import mountain_range
+
+    ranges = []
+
+    def recorded(*args):
+        ranges.append(mountain_range(*args))
+        return ranges[-1]
+
+    monkeypatch.setattr(cli, "mountain_range", recorded)
+    monkeypatch.setenv("ATLAS_MAX_BYTES", "1000000")
+    code, out, err = run(capsys, "mountain", "5", "8", "--d3", "1", "--format", "json",
+                         "--tb-min", "-100000", "--tb-max", "100000")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "ATLAS_MAX_BYTES" in err, err
+    assert len(ranges) == 1 and "points" not in ranges[0].__dict__
+
+
 def test_invalid_atlas_max_bytes_refused(capsys, monkeypatch):
     # a limit that is not an integer is a usage error naming the variable and
     # its value

@@ -6,6 +6,7 @@
 - No code under src/nonloose that only the tests read.
 - No public method or property name under src/nonloose defined by two
   top-level classes.
+- No two `audit(...)` calls under src/nonloose with one message.
 
 Each file is parsed once.  perfbench/ is only read.
 """
@@ -108,3 +109,17 @@ def test_no_public_member_name_in_two_classes():
                         classes.setdefault(member.name, []).append(f"{_where(path, member)} {node.name}")
     bad = {name: where for name, where in classes.items() if len(where) > 1}
     assert not bad, f"public method or property name defined by two classes under src/nonloose (rename one): {bad}"
+
+
+def test_each_audit_has_its_own_message():
+    # refusal tests match an audit by its message, so two sites with one
+    # message, a constant or the source of an f-string, cannot be told apart
+    sites = {}
+    for path in SRC:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("audit", "farey.audit"):
+                message = [*node.args, *(k.value for k in node.keywords)][1]
+                text = message.value if isinstance(message, ast.Constant) else ast.unparse(message)
+                sites.setdefault(text, []).append(_where(path, node))
+    bad = {text: where for text, where in sites.items() if len(where) > 1}
+    assert sites and not bad, f"audit message shared by two sites under src/nonloose: {bad}"
