@@ -212,7 +212,8 @@ def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
     return _classify_cached(p, q, max_torsion2)
 
 
-@lru_cache(maxsize=1024)
+# repeat traffic: 24 hot mountain classes, verify's 72 walked twice, 1 per CLI run; sweeps never repeat
+@lru_cache(maxsize=128)
 def _classify_cached(p: int, q: int, max_torsion2: int) -> Atlas:
     k = knot(p, q)
     m_count, n_count, t2_count = class_counts(p, q)

@@ -11,8 +11,9 @@ import argparse
 import os
 import sys
 
-from .atlas import classify, mountain_range
+from .atlas import MAX_ATLAS_BYTES, _env_limit, classify, mountain_range
 from .decorations import (
+    class_counts,
     decoration_string,
     enumerate_decorations,
     parse_decoration,
@@ -20,7 +21,7 @@ from .decorations import (
 )
 from .farey import InvariantError
 from .invariants import cross_check_rot, rotation_data, self_linking
-from .paths import build_pair
+from .paths import build_pair, knot
 from .surgery import compile_diagram, knot_surgery_context
 
 # checks, render, serialize and json are imported where they are used, so a
@@ -120,6 +121,17 @@ def _cmd_paths(args) -> dict | str:
 
 
 def _cmd_decorations(args) -> dict | str:
+    # every row is built before the first byte is printed, so refuse before
+    # enumerating: a row prints at most 3 sum(e_b) + 250 bytes (its decoration
+    # string and sign tuple, plus keys and numbers)
+    sizes = knot(args.p, args.q).sizes  # validates the knot class
+    m = class_counts(args.p, args.q)[0]
+    limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
+    if (size := m * (3 * sum(sizes) + 250)) > limit:
+        raise ValueError(
+            f"({args.p},{args.q}) has {m} decoration classes, about {size} bytes of rows, "
+            f"above the limit of {limit}; raise ATLAS_MAX_BYTES"
+        )
     rows = []
     ctx = knot_surgery_context(args.p, args.q)
     for d in enumerate_decorations(args.p, args.q):

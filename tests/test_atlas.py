@@ -350,6 +350,25 @@ def test_cached_counts_read_only():
         atlas_from_dict(atlas_to_dict(atlas)).counts["n"] = -1
 
 
+def test_classify_cache_holds_the_repeat_traffic():
+    # the cache keeps 128 atlases: verify's 72 default classes, which
+    # check_structural and then check_atlas walk at t = 2, are the same
+    # objects on the second walk; a walk over 144 distinct classes fills it
+    # to its bound and no further
+    from nonloose.atlas import _classify_cached
+    from nonloose.checks import knot_classes
+
+    assert _classify_cached.cache_info().maxsize == 128
+    default = list(knot_classes(7, 14))
+    first = [classify(p, q, 2) for p, q in default]
+    assert len(default) == 72
+    assert all(classify(p, q, 2) is atlas for (p, q), atlas in zip(default, first))
+    for t in (0, 1):
+        for p, q in default:
+            classify(p, q, t)
+    assert _classify_cached.cache_info().currsize == 128
+
+
 @pytest.mark.parametrize("proto", [*range(pickle.HIGHEST_PROTOCOL + 1), "deepcopy"])
 def test_atlas_pickles_and_deep_copies(proto):
     # an atlas can cross a process boundary; its copy's counts stay read-only

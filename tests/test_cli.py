@@ -179,6 +179,39 @@ def test_mountain_json_size_guard(capsys, monkeypatch):
     assert len(ranges) == 1 and "points" not in ranges[0].__dict__
 
 
+def test_decorations_size_guard(capsys, monkeypatch):
+    # the verb builds every class row before it prints, so an oversize
+    # listing is refused before any decoration is enumerated: (89,144) under
+    # a 100 KB limit, and under the default one (10946,17711), whose
+    # 1,572,864 rows would take about 3.4 GB of memory
+    import nonloose.cli as cli
+
+    def no_enumeration(p, q):
+        raise AssertionError(f"enumerated ({p},{q})")
+
+    monkeypatch.setattr(cli, "enumerate_decorations", no_enumeration)
+    code, out, err = run(capsys, "decorations", "10946", "17711")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: (10946,17711) has 1572864 decoration classes")
+    monkeypatch.setenv("ATLAS_MAX_BYTES", "100000")
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "decorations", "89", "144", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "ATLAS_MAX_BYTES" in err, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_decorations_estimate_on_the_high_side(capsys, monkeypatch, fmt):
+    # a limit one byte below what the verb prints refuses it; (2,-1001)
+    # comes nearest, within 4% of the estimate in JSON
+    for p, q in [(2, 3), (5, -8), (7, -100), (89, 144), (2, -1001)]:
+        monkeypatch.delenv("ATLAS_MAX_BYTES", raising=False)
+        code, out, _ = run(capsys, "decorations", str(p), str(q), "--format", fmt)
+        assert code == 0
+        monkeypatch.setenv("ATLAS_MAX_BYTES", str(len(out.encode()) - 1))
+        assert run(capsys, "decorations", str(p), str(q), "--format", fmt)[:2] == (1, ""), (p, q)
+
+
 def test_invalid_atlas_max_bytes_refused(capsys, monkeypatch):
     # a limit that is not an integer is a usage error naming the variable and
     # its value

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from nonloose import atlas
-from nonloose.decorations import DecoratedPathPair
+from nonloose.decorations import DecoratedPathPair, class_counts
 from nonloose.farey import InvariantError, dot, is_edge
 from nonloose.paths import (
     PathPair,
@@ -282,7 +282,7 @@ def test_knot_record_cached_bounded_and_frozen():
     assert knot(5, 8) is knot(5, 8)
     assert knot(5, 8) == decompose_blocks(build_pair(5, 8))
     assert knot_surgery_context(5, 8) is knot(5, 8).context
-    for cache in (knot, atlas._classify_cached):
+    for cache in (knot, class_counts, atlas._classify_cached):
         assert cache.cache_info().maxsize is not None
     d = DecoratedPathPair(5, 8, (0, 1, 0, 0))
     assert d.knot is knot(5, 8)
