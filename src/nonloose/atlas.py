@@ -173,13 +173,16 @@ def _labels(k):
 MAX_ATLAS_BYTES = 64_000_000
 
 
-def _env_limit(name: str, default: int) -> int:
-    """The integer in environment variable name, or default if it is unset or empty."""
+def refuse_above(size: int, name: str, default: int, what: str, advice: str) -> None:
+    """Raise ValueError "{what}, above the limit of {limit}; {advice}raise {name}" if size is
+    above the integer in environment variable name, or default if it is unset or empty."""
     value = os.environ.get(name)
     try:
-        return int(value) if value else default
+        limit = int(value) if value else default
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if size > limit:
+        raise ValueError(f"{what}, above the limit of {limit}; {advice}raise {name}")
 
 
 def _atlas_bytes(k, m: int, t2: int, max_torsion2: int) -> int:
@@ -202,13 +205,10 @@ def classify(p: int, q: int, max_torsion2: int = 4) -> Atlas:
     k = knot(p, q)  # validates the knot class
     m_count, _, t2_count = class_counts(p, q)
     # refuse an oversize atlas before any orbit is climbed
-    limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
-    if (size := _atlas_bytes(k, m_count, t2_count, max_torsion2)) > limit:
-        raise ValueError(
-            f"({p},{q}) at max_torsion2 = {max_torsion2} makes about {size} bytes of "
-            f"atlas-v1 JSON, above the limit of {limit}; lower --max-torsion2 or "
-            "raise ATLAS_MAX_BYTES"
-        )
+    size = _atlas_bytes(k, m_count, t2_count, max_torsion2)
+    refuse_above(size, "ATLAS_MAX_BYTES", MAX_ATLAS_BYTES,
+                 f"({p},{q}) at max_torsion2 = {max_torsion2} makes about {size} bytes of atlas-v1 JSON",
+                 "lower --max-torsion2 or ")
     return _classify_cached(p, q, max_torsion2)
 
 
@@ -462,6 +462,17 @@ class MountainRange:
         # one PointInfo per distinct cell; they are immutable, so points share them
         info = {cell: PointInfo(len(cell[0]), *cell) for cell in set(cells.values())}
         return dict(zip(cells, map(info.__getitem__, cells.values())))
+
+    def point_bound(self) -> int:
+        """At least len(points), without filling them: each point of every line the window
+        clips (a point on k lines counts k times), and (p + q)^2 / 2 for the diamonds
+        inside the V, at most top - 1 in row top = tb - vertex < p + q - 1."""
+        p, q = self.p, self.q
+        return sum(
+            len(cs) * (hi - lo + 1)
+            for st in self.structures
+            for _, _, cs, lo, hi, _, _ in _lines(st, p, q, *self.tb_range)
+        ) + sum((p + q) ** 2 // 2 for st in self.structures if st.exceptional and p * q > 0)
 
 
 def default_window(atlas: Atlas, d3_value: int) -> tuple[int, int]:

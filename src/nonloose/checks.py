@@ -2,8 +2,9 @@
 
 Each check returns (name, ok, detail).  The CLI `verify` verb and the
 acceptance test suite both run these.  The two Farey checks sweep fixed
-ranges; the knot checks take pmax and qmax.  A check compares only what no
-audit or construction error decides first.
+ranges; the knot checks take pmax and qmax, the last two also the atlases
+of those classes.  A check compares only what no audit or construction
+error decides first.
 """
 
 from __future__ import annotations
@@ -155,13 +156,14 @@ def check_rotations(pmax: int, qmax: int):
     return ("dual rotation computation", not bad, f"pmax={pmax} qmax={qmax}; {bad[:3]}")
 
 
-def check_structural(pmax: int, qmax: int):
+def check_structural(atlases, pmax: int, qmax: int):
     """d3 of the all-same-sign and split classes, and, for every orbit of
-    every structure classify reports, d3 evaluated at each member (the
+    every structure of the atlases, d3 evaluated at each member (the
     half-Lutz d3 on the half-integer structures) against the structure's
     d3, which classify reads once, at the orbit root."""
     bad = []
-    for p, q in knot_classes(pmax, qmax):
+    for atlas in atlases:
+        p, q = atlas.p, atlas.q
         pq = p * q
         ctx = knot_surgery_context(p, q)
         k = knot(p, q)
@@ -172,7 +174,7 @@ def check_structural(pmax: int, qmax: int):
         if ctx.d3(split) != (-pq + p + q if pq > 0 else abs(pq) - p - abs(q) + 1):
             bad.append(f"({p},{q}) P1+/P2- d3")
         # d3 and the orbits do not depend on the torsion truncation
-        for st in classify(p, q, 2).structures:
+        for st in atlas.structures:
             members = [parse_decoration(p, q, text) for text in st.orbits]
             if st.half_integer_torsion:
                 values = {half_lutz_d3(m) for m in members}
@@ -199,14 +201,14 @@ def _family_bound_excess(f, pq: int) -> int:
     return max(abs(f.rot_at(t)) - abs(t) for t in candidates)
 
 
-def check_atlas(pmax: int, qmax: int):
-    """Bennequin bound and knot counts at and above tb = pq on assembled
-    atlases (classify audits the structure count and the d3 parity law)."""
+def check_atlas(atlases, pmax: int, qmax: int):
+    """Bennequin bound and knot counts at and above tb = pq on the atlases
+    (classify audits the structure count and the d3 parity law)."""
     bad = []
-    for p, q in knot_classes(pmax, qmax):
+    for atlas in atlases:
+        p, q = atlas.p, atlas.q
         pq = p * q
         bound = abs(pq) - p - abs(q)
-        atlas = classify(p, q, 2)
         tb_pq_knots = 0
         for st in atlas.structures:
             for f in st.families:
@@ -254,12 +256,16 @@ def check_atlas(pmax: int, qmax: int):
 
 
 def run_all(pmax: int, qmax: int):
+    def atlases():
+        # a lazy walk, so verify holds no more atlases than classify's cache
+        return (classify(p, q, 2) for p, q in knot_classes(pmax, qmax))
+
     return [
         check_farey_roundtrip(),
         check_farey_neighbors(),
         check_paths(pmax, qmax),
         check_counts(pmax, qmax),
         check_rotations(pmax, qmax),
-        check_structural(pmax, qmax),
-        check_atlas(pmax, qmax),
+        check_structural(atlases(), pmax, qmax),
+        check_atlas(atlases(), pmax, qmax),
     ]

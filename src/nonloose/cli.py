@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .atlas import MAX_ATLAS_BYTES, _env_limit, classify, mountain_range
+from .atlas import MAX_ATLAS_BYTES, classify, mountain_range, refuse_above
 from .decorations import (
     class_counts,
     decoration_string,
@@ -126,12 +126,9 @@ def _cmd_decorations(args) -> dict | str:
     # string and sign tuple, plus keys and numbers)
     sizes = knot(args.p, args.q).sizes  # validates the knot class
     m = class_counts(args.p, args.q)[0]
-    limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
-    if (size := m * (3 * sum(sizes) + 250)) > limit:
-        raise ValueError(
-            f"({args.p},{args.q}) has {m} decoration classes, about {size} bytes of rows, "
-            f"above the limit of {limit}; raise ATLAS_MAX_BYTES"
-        )
+    size = m * (3 * sum(sizes) + 250)
+    refuse_above(size, "ATLAS_MAX_BYTES", MAX_ATLAS_BYTES,
+                 f"({args.p},{args.q}) has {m} decoration classes, about {size} bytes of rows", "")
     rows = []
     ctx = knot_surgery_context(args.p, args.q)
     for d in enumerate_decorations(args.p, args.q):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .atlas import MountainRange, _env_limit
+from .atlas import MountainRange, refuse_above
 
 MAX_CELLS = 10_000
 
@@ -13,12 +13,7 @@ def _grid(mrange: MountainRange):
     tb_lo, tb_hi = mrange.tb_range
     rot_lo, rot_hi = mrange.rot_range
     cells = (tb_hi - tb_lo + 1) * (rot_hi - rot_lo + 1)
-    limit = _env_limit("ATLAS_MAX_CELLS", MAX_CELLS)
-    if cells > limit:
-        raise ValueError(
-            f"window of {cells} cells exceeds the limit of {limit}; "
-            "narrow the tb window or raise ATLAS_MAX_CELLS"
-        )
+    refuse_above(cells, "ATLAS_MAX_CELLS", MAX_CELLS, f"window of {cells} cells", "narrow the tb window or ")
     return tb_lo, tb_hi, rot_lo, rot_hi
 
 

@@ -12,8 +12,7 @@ from .atlas import (
     Structure,
     TransverseClass,
     TransverseEntry,
-    _env_limit,
-    _lines,
+    refuse_above,
 )
 from .paths import PathPair, decompose_blocks, p2_truncated
 from .surgery import SurgeryDiagram
@@ -159,21 +158,9 @@ def mountain_to_dict(mr: MountainRange) -> dict:
     """The points payload of `mountain --format json`: tb descending, then
     rot ascending.  A payload above ATLAS_MAX_BYTES is refused before any
     point is built."""
-    p, q = mr.p, mr.q
-    # on the high side: 200 bytes per point of every line the window clips
-    # (a point on k lines counts k times), and (p + q)^2 / 2 points for the
-    # diamonds inside the V, at most top - 1 in row top = tb - vertex < p + q - 1
-    points = sum(
-        len(cs) * (hi - lo + 1)
-        for st in mr.structures
-        for _, _, cs, lo, hi, _, _ in _lines(st, p, q, *mr.tb_range)
-    ) + sum((p + q) ** 2 // 2 for st in mr.structures if st.exceptional and p * q > 0)
-    limit = _env_limit("ATLAS_MAX_BYTES", MAX_ATLAS_BYTES)
-    if (size := 200 * points) > limit:
-        raise ValueError(
-            f"mountain JSON of about {size} bytes is above the limit of {limit}; "
-            "narrow the tb window or raise ATLAS_MAX_BYTES"
-        )
+    size = 200 * mr.point_bound()  # about 160 bytes are printed per point
+    refuse_above(size, "ATLAS_MAX_BYTES", MAX_ATLAS_BYTES, f"mountain JSON of about {size} bytes",
+                 "narrow the tb window or ")
     return {
         "knot": {"p": mr.p, "q": mr.q},
         "d3": mr.d3,

@@ -212,7 +212,7 @@ def test_criterion_6_counting():
 
 
 def test_criterion_7_structural_identities(sweep_atlases):
-    name, ok, detail = check_structural(PMAX, QMAX)
+    name, ok, detail = check_structural(sweep_atlases.values(), PMAX, QMAX)
     assert ok, detail
     for (p, q), atlas in sweep_atlases.items():
         for st in atlas.structures:

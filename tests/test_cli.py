@@ -212,13 +212,18 @@ def test_decorations_estimate_on_the_high_side(capsys, monkeypatch, fmt):
         assert run(capsys, "decorations", str(p), str(q), "--format", fmt)[:2] == (1, ""), (p, q)
 
 
-def test_invalid_atlas_max_bytes_refused(capsys, monkeypatch):
+@pytest.mark.parametrize("name, value, argv", [
+    pytest.param("ATLAS_MAX_BYTES", "abc", ["classify", "5", "8", "--max-torsion2", "9"], id="classify"),
+    pytest.param("ATLAS_MAX_BYTES", "abc", ["decorations", "5", "8"], id="decorations"),
+    pytest.param("ATLAS_MAX_CELLS", "1e4", ["mountain", "5", "8", "--d3", "1"], id="mountain"),
+])
+def test_invalid_limit_refused(capsys, monkeypatch, name, value, argv):
     # a limit that is not an integer is a usage error naming the variable and
-    # its value
-    monkeypatch.setenv("ATLAS_MAX_BYTES", "abc")
-    code, out, err = run(capsys, "classify", "5", "8", "--max-torsion2", "9")
+    # its value, in every verb whose guard reads it
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: ATLAS_MAX_BYTES must be an integer, got 'abc'"]
+    assert err.splitlines() == [f"error: {name} must be an integer, got {value!r}"]
 
 
 def test_atlas_limit_read_on_a_cached_atlas(capsys, monkeypatch):
@@ -231,13 +236,6 @@ def test_atlas_limit_read_on_a_cached_atlas(capsys, monkeypatch):
         code, out, err = run(capsys, "classify", "5", "8")
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
-
-
-def test_invalid_atlas_max_cells_refused(capsys, monkeypatch):
-    monkeypatch.setenv("ATLAS_MAX_CELLS", "1e4")
-    code, out, err = run(capsys, "mountain", "5", "8", "--d3", "1")
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: ATLAS_MAX_CELLS must be an integer, got '1e4'"]
 
 
 def test_verify_empty_range_refused(capsys):

@@ -7,6 +7,8 @@
 - No public method or property name under src/nonloose defined by two
   top-level classes.
 - No two `audit(...)` calls under src/nonloose with one message.
+- No module-level import of another engine module's underscore name
+  under src/nonloose.
 
 Each file is parsed once.  perfbench/ is only read.
 """
@@ -29,6 +31,17 @@ def _where(path, node):
 def _raises_assertion(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def _outside_functions(tree):
+    """The nodes of a module that run when it is imported: all but those
+    inside a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def _unbounded(node):
@@ -123,3 +136,19 @@ def test_each_audit_has_its_own_message():
                 sites.setdefault(text, []).append(_where(path, node))
     bad = {text: where for text, where in sites.items() if len(where) > 1}
     assert sites and not bad, f"audit message shared by two sites under src/nonloose: {bad}"
+
+
+def test_no_private_import_between_engine_modules():
+    # a module reads another only through its public names.  A function-local
+    # import is out of scope: paths.Knot.context imports surgery._Context
+    # there because surgery imports paths when it loads, so the same import
+    # at module level would be a cycle
+    bad = [
+        f"{_where(path, node)} {alias.name}"
+        for path in SRC
+        for node in _outside_functions(TREES[path])
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nonloose"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not bad, f"module-level import of another engine module's underscore name under src/nonloose: {bad}"
